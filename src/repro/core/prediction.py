@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 
 def project_to_simplex(vector: np.ndarray) -> np.ndarray:
@@ -107,6 +106,10 @@ def _estimate_projected(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray) -> 
 
 def _estimate_slsqp(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The paper's SLSQP formulation of Eq. (1)."""
+    # Imported here, not at module level: scipy costs most of the start-up
+    # of every entry point that imports repro, and only this fit needs it.
+    from scipy import optimize
+
     num_experts = xs.shape[1]
     size = num_experts * num_experts
 

@@ -2,8 +2,7 @@
 
 The sweep engine's bit-identity promise rests on invariants that runtime
 differential tests can only sample: every memo re-keys by exactly the axes
-it depends on, nothing nondeterministic feeds a result, everything crossing
-the pool boundary is declared.  This package checks those invariants from
+it depends on and nothing nondeterministic feeds a result.  This package checks those invariants from
 the source itself — ``python -m repro.lint src`` parses every file with the
 stdlib :mod:`ast` module (zero new runtime dependencies) and cross-checks
 the code against the two declaration tables the package maintains:
@@ -16,8 +15,7 @@ the code against the two declaration tables the package maintains:
 
 Determinism rules (``DET01``–``DET05``) forbid global-state randomness,
 stray wall-clock reads, unsorted directory listings, ``id()`` and set-order
-escapes; ``XPROC01`` keeps :class:`~repro.sweep.runner.SweepResult`'s
-numeric fields aligned with the ``METRIC_FIELDS`` shared-memory schema.
+escapes.
 
 Audited exceptions live in a checked-in baseline file
 (``lint_baseline.json``), one justification string per entry; the CLI's

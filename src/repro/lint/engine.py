@@ -1,9 +1,8 @@
 """Lint engine: file discovery, the project index, and rule dispatch.
 
 Linting is two-phase.  The *collection* phase parses every file once and
-builds a :class:`ProjectIndex` — declared environment flags, registered
-cache stores, and resolvable tuple-of-string constants (``METRIC_FIELDS``
-and friends) — because several rules are cross-file by nature: an
+builds a :class:`ProjectIndex` — declared environment flags and registered
+cache stores — because several rules are cross-file by nature: an
 ``os.environ`` read in one module is judged against declarations in
 another.  The *check* phase then runs every rule over every file with the
 index in hand.
@@ -58,9 +57,6 @@ class ProjectIndex:
     declared_flags: Set[str] = field(default_factory=set)
     #: Per file path: every register_cache call found in it.
     registrations: Dict[str, List[RegisteredCache]] = field(default_factory=dict)
-    #: Module-level tuple-of-string constants, by name (project-wide; names
-    #: like METRIC_FIELDS / PHASE_FIELDS are unique by convention).
-    string_tuples: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
 
     def stores_of(self, path: str) -> Dict[str, Tuple[str, ...]]:
         """``{store variable name: axes}`` registered in one file."""
@@ -244,50 +240,6 @@ def _collect_registrations(
         index.registrations[path] = regs
 
 
-def _collect_string_tuples(trees: Dict[str, ast.Module], index: ProjectIndex) -> None:
-    """Resolve module-level tuple-of-string constants, including one level
-    of ``A = (...literal...) + B`` concatenation across files."""
-    pending: Dict[str, ast.AST] = {}
-    for tree in trees.values():
-        for node in tree.body:
-            if not (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-            ):
-                continue
-            name = node.targets[0].id
-            literal = _literal_str_tuple(node.value)
-            if literal is not None:
-                index.string_tuples[name] = literal
-            elif isinstance(node.value, ast.BinOp):
-                pending[name] = node.value
-
-    def resolve(node: ast.AST) -> Optional[Tuple[str, ...]]:
-        literal = _literal_str_tuple(node)
-        if literal is not None:
-            return literal
-        if isinstance(node, ast.Name):
-            return index.string_tuples.get(node.id)
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-            left = resolve(node.left)
-            right = resolve(node.right)
-            if left is not None and right is not None:
-                return left + right
-        return None
-
-    for _ in range(3):  # small fixpoint for chained concatenations
-        progressed = False
-        for name, node in list(pending.items()):
-            value = resolve(node)
-            if value is not None:
-                index.string_tuples[name] = value
-                del pending[name]
-                progressed = True
-        if not progressed:
-            break
-
-
 def build_index(
     files: Iterable[str],
 ) -> Tuple[ProjectIndex, Dict[str, Tuple[ast.Module, List[str]]], List[str]]:
@@ -305,7 +257,6 @@ def build_index(
         if os.path.basename(path) == "flags.py":
             _collect_declared_flags(tree, index.declared_flags)
         _collect_registrations(path, tree, index)
-    _collect_string_tuples({p: t for p, (t, _) in parsed.items()}, index)
     return index, parsed, errors
 
 

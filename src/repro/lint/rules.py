@@ -576,50 +576,6 @@ def _check_env02(ctx: FileContext) -> Iterator[Violation]:
         )
 
 
-# --------------------------------------------------------------------- XPROC01
-_NUMERIC_ANNOTATIONS = ("float", "int")
-
-
-def _check_xproc01(ctx: FileContext) -> Iterator[Violation]:
-    metric_fields = ctx.project.string_tuples.get("METRIC_FIELDS")
-    if metric_fields is None:
-        return
-    has_metric_fields = any(
-        isinstance(node, ast.Assign)
-        and any(
-            isinstance(t, ast.Name) and t.id == "METRIC_FIELDS"
-            for t in node.targets
-        )
-        for node in ctx.tree.body
-    )
-    if not has_metric_fields:
-        return
-    for node in ctx.tree.body:
-        if not (isinstance(node, ast.ClassDef) and node.name == "SweepResult"):
-            continue
-        for statement in node.body:
-            if not (
-                isinstance(statement, ast.AnnAssign)
-                and isinstance(statement.target, ast.Name)
-            ):
-                continue
-            annotation = statement.annotation
-            if not (
-                isinstance(annotation, ast.Name)
-                and annotation.id in _NUMERIC_ANNOTATIONS
-            ):
-                continue
-            field_name = statement.target.id
-            if field_name not in metric_fields:
-                yield ctx.violation(
-                    "XPROC01",
-                    statement,
-                    f"SweepResult.{field_name} is numeric but missing from "
-                    f"METRIC_FIELDS — it would silently not survive "
-                    f"MetricBoard transport from pool workers",
-                )
-
-
 _RULE_DEFS = (
     (
         "CACHE01",
@@ -730,18 +686,6 @@ _RULE_DEFS = (
         "strings — docs, error messages — do not match; only exact "
         "literals do.",
         _check_env02,
-    ),
-    (
-        "XPROC01",
-        "numeric SweepResult fields must be in METRIC_FIELDS",
-        "Pool workers ship per-config metrics as a float64 row on the "
-        "shared-memory MetricBoard, in METRIC_FIELDS order.  A numeric "
-        "field added to SweepResult but not to METRIC_FIELDS silently "
-        "arrives as 0.0 from parallel runs while serial runs populate it — "
-        "the exact class of skew the differential tests exist to prevent.  "
-        "METRIC_FIELDS is resolved statically, including the '+ "
-        "PHASE_FIELDS' concatenation.",
-        _check_xproc01,
     ),
 )
 

@@ -140,7 +140,6 @@ def generate_trace(
         raise ValueError("num_iterations must be positive")
     if sample_every <= 0:
         raise ValueError("sample_every must be positive")
-    gate = GateSimulator(model, dynamics=dynamics, seed=seed)
     selected_layers = list(layers) if layers is not None else list(range(model.num_moe_blocks))
     for layer in selected_layers:
         if not 0 <= layer < model.num_moe_blocks:
@@ -153,6 +152,9 @@ def generate_trace(
         if cached is not None:
             return cached
 
+    # Built only on a memo miss: the gate's own init memo may have evicted
+    # this seed, and rebuilding it redoes the Dirichlet draws.
+    gate = GateSimulator(model, dynamics=dynamics, seed=seed)
     trace = TrainingTrace(model=model)
     for step in range(0, num_iterations, sample_every):
         loads = gate.expert_loads(step)

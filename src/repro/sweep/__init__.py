@@ -10,12 +10,11 @@ that grid into first-class objects:
   concrete :class:`SweepConfig` records;
 * :class:`SweepConfig` — one fully-specified simulation, JSON-serializable
   and content-hashed so results can be cached and reproduced;
-* :class:`SweepRunner` — fans configurations out over a persistent pool of
-  warm worker processes (or runs them inline), with per-configuration result
-  caching keyed by the config hash;
-* :class:`FoldedSweepRunner` — batches structurally-compatible configs
-  through one solve/advance loop (DESIGN.md §6), optionally sharded whole
-  groups at a time across the worker pool (§7);
+* :class:`SweepRunner` — batches structurally-compatible configs through
+  one solve/advance loop (DESIGN.md §6), inline or sharded whole groups at a
+  time across a persistent pool of warm worker processes (§7), with
+  per-configuration result caching keyed by the config hash;
+  ``fold_width`` is its one execution knob;
 * :class:`SweepResult` — a structured, JSON-serializable record of one run,
   including a per-phase wall-time breakdown (:mod:`repro.sweep.phases`);
 * :class:`StructuralTemplate` / :class:`TemplateStore` — the two-tier
@@ -35,7 +34,7 @@ from repro.sweep.registry import (
     parse_failure,
     resolve_model,
 )
-from repro.sweep.pool import MetricBoard, PersistentWorkerPool
+from repro.sweep.pool import PersistentWorkerPool
 from repro.sweep.spec import (
     CONFIG_SCHEMA_VERSION,
     SweepConfig,
@@ -48,7 +47,7 @@ from repro.sweep.phases import (
     summarize_phases,
 )
 from repro.sweep.runner import (
-    FoldedSweepRunner,
+    FoldedSweepRunner,  # alias of SweepRunner, for perfbench/workloads.py
     SweepError,
     SweepResult,
     SweepRunError,
@@ -71,7 +70,6 @@ __all__ = [
     "CONFIG_SCHEMA_VERSION",
     "FABRIC_BUILDERS",
     "FoldedSweepRunner",
-    "MetricBoard",
     "PHASE_FIELDS",
     "PersistentWorkerPool",
     "SWEEP_MODELS",

@@ -25,8 +25,8 @@ from repro.core.reconfigure import ENGINES
 from repro.core.runtime import FIRST_A2A_POLICIES
 from repro.sim.flows import SOLVERS
 from repro.sweep.registry import FABRIC_BUILDERS, SWEEP_MODELS
-from repro.sweep.runner import FoldedSweepRunner, SweepRunner
-from repro.sweep.spec import SweepSpec, structural_groups
+from repro.sweep.runner import SweepRunner
+from repro.sweep.spec import SweepSpec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,20 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seeds", nargs="+", type=int, default=[0],
                         help="synthetic-traffic seeds")
     parser.add_argument("--workers", type=int, default=0,
-                        help="worker processes (0/1 = run inline; composes "
-                             "with --folded: whole structural groups are "
-                             "sharded across workers)")
-    parser.add_argument("--folded", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="run structurally-compatible configs folded "
-                             "through one batched solve/advance loop "
-                             "(default: folded whenever at least two "
-                             "yet-uncached configs share a structural key; "
-                             "results are identical either way)")
+                        help="worker processes (0/1 = run inline; otherwise "
+                             "whole structural groups are sharded across "
+                             "workers; results are identical either way)")
     parser.add_argument("--cache-dir", default=None,
                         help="cache per-config results here, keyed by config hash")
     parser.add_argument("--template-dir", default=None,
-                        help="on-disk structural-template store for folded runs "
+                        help="on-disk structural-template store "
                              "(default: <cache-dir>/templates when --cache-dir "
                              "is set; pass an empty string to disable)")
     parser.add_argument("--profile", action="store_true",
@@ -133,56 +126,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{len(configs)} configuration(s)", file=sys.stderr)
         return 0
 
-    if args.folded is not None:
-        folded = args.folded
-        if not folded:
-            print("note: folding disabled by --no-folded", file=sys.stderr)
-    else:
-        # Folding only pays when some batch can hold ≥2 simulations, i.e.
-        # when at least two configs that still need simulating share a
-        # structural key; a grid of structural singletons folds into batches
-        # of one and gains nothing, so run it plain.
-        misses = configs
-        if args.cache_dir is not None:
-            misses = [
-                config
-                for config in configs
-                if not os.path.exists(
-                    os.path.join(args.cache_dir, f"{config.config_hash()}.json")
-                )
-            ]
-        folded = any(
-            len(positions) >= 2
-            for positions in structural_groups(misses).values()
-        )
-        if not folded:
-            print(
-                "note: folding disabled — no two yet-uncached configurations "
-                "share a structural key (fabric/model/policy/failure/size), "
-                "so every batch would hold a single simulation",
-                file=sys.stderr,
-            )
     template_dir = args.template_dir
     if template_dir is None and args.cache_dir is not None:
         template_dir = os.path.join(args.cache_dir, "templates")
     elif template_dir == "":
         template_dir = None
-    if folded:
-        runner = FoldedSweepRunner(
-            configs,
-            cache_dir=args.cache_dir,
-            solver=args.solver,
-            workers=args.workers,
-            template_dir=template_dir,
-        )
-    else:
-        runner = SweepRunner(
-            configs,
-            workers=args.workers,
-            cache_dir=args.cache_dir,
-            solver=args.solver,
-        )
-    with runner:
+    with SweepRunner(
+        configs,
+        workers=args.workers,
+        cache_dir=args.cache_dir,
+        solver=args.solver,
+        template_dir=template_dir,
+    ) as runner:
         results = runner.run()
 
     if args.output:

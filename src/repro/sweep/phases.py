@@ -8,7 +8,8 @@ split every runner records into :class:`~repro.sweep.runner.SweepResult` —
   (and including) executor construction: everything the template cache
   attacks;
 * ``solve_s``   — time inside the batched ``service_advance_requests`` calls
-  (folded) or the executor's ``run()`` (unfolded), i.e. the solver;
+  (folded) or the executor's ``run()`` (:func:`~repro.sweep.runner.run_config`),
+  i.e. the solver;
 * ``advance_s`` — Python-side generator time between solves (folded only:
   task bookkeeping, flow admission);
 * ``store_s``   — result-cache write.
@@ -16,8 +17,8 @@ split every runner records into :class:`~repro.sweep.runner.SweepResult` —
 Timing lives entirely in the runner (generator step deltas and apportioned
 batch-solve wall time), so the simulator and executor hot paths carry zero
 instrumentation.  The CLI surfaces the split via ``--profile`` and the sweep
-benchmark records a template-cold vs template-warm breakdown into
-``BENCH_sweep.json``.
+benchmark (``benchmarks/test_sweep_throughput.py``) records a template-cold
+vs template-warm breakdown into ``.bench_build/BENCH_sweep.json``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Sequence
 
-#: Phase fields of :class:`~repro.sweep.runner.SweepResult`, in metric-vector
-#: order (appended to ``METRIC_FIELDS`` so phases survive pool transport).
+#: Phase fields of :class:`~repro.sweep.runner.SweepResult`.
 PHASE_FIELDS = ("setup_s", "solve_s", "advance_s", "store_s")
 
 

@@ -1,27 +1,19 @@
-"""Persistent warm worker pool and zero-copy result transport.
+"""Persistent warm worker pool with streamed per-task acknowledgements.
 
-The sweep engine used to build a fresh ``multiprocessing.Pool`` per grid and
-ship every result back as a pickled ``imap_unordered`` payload.  Both costs
-recur per run: pool construction forks N processes whose first batch then
-pays the cffi kernel load, and every per-config metric vector is pickled,
-piped and unpickled.  This module replaces them with two primitives:
+:class:`PersistentWorkerPool` keeps N worker processes alive for one
+:class:`~repro.sweep.runner.SweepRunner` lifetime and reuses them across
+``run()`` calls, instead of forking a fresh ``multiprocessing.Pool`` per
+grid.  Each worker pre-loads :mod:`repro.sim._native` (and imports the sweep
+stack) before reporting ready, so the cffi kernel is compiled/loaded —
+serialised by the build lock — before the first batch arrives.  Tasks are
+function references with positional arguments; workers stream intermediate
+acknowledgements through one shared result queue, so the parent observes
+per-config progress and can detect a dead worker mid-shard.  A crashed worker
+is respawned on request, keeping the pool usable for the next run.
 
-* :class:`PersistentWorkerPool` — N worker processes spawned once per
-  :class:`~repro.sweep.runner.SweepRunner` lifetime and reused across
-  ``run()`` calls.  Each worker pre-loads :mod:`repro.sim._native` before
-  reporting ready, so the cffi kernel is compiled/loaded (serialised by the
-  build lock) before the first batch arrives.  Tasks are function references
-  with positional arguments; workers stream intermediate acknowledgements
-  through a shared result queue, so the parent observes per-config progress
-  and can detect a dead worker mid-shard.  A crashed worker is respawned on
-  request, keeping the pool usable for the next run.
-
-* :class:`MetricBoard` / :func:`attach_board` — a ``multiprocessing.shared_memory``
-  float64 matrix with one row per in-flight configuration.  Workers write
-  each config's metric vector into its row and ack only a few small strings;
-  the parent reads the row back without any pickling of the numbers.  When
-  shared memory is unavailable the board degrades to ``None`` and callers
-  fall back to inline (pickled) metric tuples — slower, never wrong.
+Acks are pickled onto that queue as they are: the sweep runner acks each
+finished config with its :class:`~repro.sweep.runner.SweepResult`, a few
+dozen fields, which is small next to the simulation that produced it.
 
 Everything here is sweep-agnostic: task functions live in
 :mod:`repro.sweep.runner`, which owns sharding, salvage and result assembly.
@@ -32,8 +24,6 @@ from __future__ import annotations
 import multiprocessing
 import queue as queue_mod
 from typing import Any, Callable, List, Optional, Tuple
-
-import numpy as np
 
 #: Event kinds flowing back from workers (see :meth:`PersistentWorkerPool.events`).
 READY = "ready"
@@ -232,97 +222,3 @@ class PersistentWorkerPool:
         liveness checks (:meth:`is_alive`) with event consumption.
         """
         return self._results.get(timeout=timeout)
-
-
-# ----------------------------------------------------------- shared memory
-class MetricBoard:
-    """Shared-memory matrix of per-config metric vectors (one row per slot).
-
-    Created by the parent per run; workers attach by name via
-    :func:`attach_board` and write rows in place.  ``name`` is ``None`` when
-    shared memory is unavailable — callers then transport metrics inline.
-    """
-
-    def __init__(self, num_slots: int, num_metrics: int) -> None:
-        self.num_slots = num_slots
-        self.num_metrics = num_metrics
-        self.name: Optional[str] = None
-        self.array: Optional[np.ndarray] = None
-        self._shm = None
-        try:
-            from multiprocessing import shared_memory
-
-            self._shm = shared_memory.SharedMemory(
-                create=True, size=max(8 * num_slots * num_metrics, 8)
-            )
-            self.array = np.ndarray(
-                (num_slots, num_metrics), dtype=np.float64, buffer=self._shm.buf
-            )
-            self.array.fill(0.0)
-            self.name = self._shm.name
-        except Exception:  # noqa: BLE001 — no /dev/shm etc.: degrade inline
-            self._release()
-
-    def row(self, slot: int) -> List[float]:
-        assert self.array is not None
-        return self.array[slot].tolist()
-
-    def _release(self) -> None:
-        if self._shm is not None:
-            # Drop the ndarray view first: SharedMemory.close() refuses to
-            # unmap while exported buffers exist.
-            self.array = None
-            try:
-                self._shm.close()
-                self._shm.unlink()
-            except Exception:  # noqa: BLE001 — already gone
-                pass
-            self._shm = None
-        self.name = None
-
-    def close(self) -> None:
-        """Unlink the segment (parent side, once all rows are read)."""
-        self._release()
-
-    def __del__(self) -> None:  # pragma: no cover — best-effort
-        self._release()
-
-
-class BoardView:
-    """Worker-side attachment to a :class:`MetricBoard` by name."""
-
-    def __init__(self, name: str, num_slots: int, num_metrics: int) -> None:
-        from multiprocessing import shared_memory
-
-        # On Python < 3.13 attaching also registers the segment with the
-        # resource tracker.  Workers are children of the runner process and
-        # share its tracker, where registration is an idempotent set-add —
-        # the parent's unlink() performs the single matching unregister.
-        # (Unregistering here instead would strip the *parent's* entry from
-        # the shared tracker and make that unlink raise inside it.)
-        self._shm = shared_memory.SharedMemory(name=name)
-        self.array = np.ndarray(
-            (num_slots, num_metrics), dtype=np.float64, buffer=self._shm.buf
-        )
-
-    def write(self, slot: int, values) -> None:
-        self.array[slot, :] = values
-
-    def close(self) -> None:
-        self.array = None
-        try:
-            self._shm.close()
-        except Exception:  # noqa: BLE001
-            pass
-
-
-def attach_board(
-    name: Optional[str], num_slots: int, num_metrics: int
-) -> Optional[BoardView]:
-    """Attach to the parent's board; ``None`` name or failure → inline mode."""
-    if name is None:
-        return None
-    try:
-        return BoardView(name, num_slots, num_metrics)
-    except Exception:  # noqa: BLE001 — degrade to inline metric transport
-        return None

@@ -1,14 +1,17 @@
-"""Sweep execution: single cases, worker pools and the result cache.
+"""Sweep execution: single cases, the sweep runner and the result cache.
 
-The runner executes :class:`~repro.sweep.spec.SweepConfig` records —
-serially in-process, folded (many configs through one batched solve →
-next-completion → advance loop), fanned out over a persistent pool of
-worker processes, or both at once (folded *shards*, DESIGN.md §7) — and
-returns structured, JSON-serializable :class:`SweepResult` records.  Results
-are deterministic per configuration (each config carries its own seed and the
-simulator is seed-deterministic) and folding/sharding are pure execution
-transformations, so neither the worker count nor the fold width ever changes
-the numbers, only the wall time.
+:class:`SweepRunner` executes :class:`~repro.sweep.spec.SweepConfig` records
+folded — many configs through one batched solve → next-completion → advance
+loop (DESIGN.md §6) — in-process, or as whole structural groups sharded over
+a persistent pool of worker processes (§7), and returns structured,
+JSON-serializable :class:`SweepResult` records.  :func:`run_config` is the
+per-config reference path: it runs one configuration from scratch through
+the executor's event loop, and it is what the runner falls back to for a
+configuration that cannot run folded.  Results are deterministic per
+configuration (each config carries its own seed and the simulator is
+seed-deterministic) and folding/sharding are pure execution transformations,
+so neither the worker count nor the fold width ever changes the numbers,
+only the wall time.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import os
 import queue as queue_mod
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.cluster.spec import ClusterSpec
 from repro.core.caches import clear_all_caches
@@ -29,16 +32,8 @@ from repro.moe.models import MoEModelConfig
 from repro.moe.trace import IterationRecord
 from repro.sim.executor import Executor
 from repro.sim.flows import service_advance_requests
-from repro.sweep.phases import PHASE_FIELDS, PhaseAccumulator, phase_clock
-from repro.sweep.pool import (
-    ACK,
-    DONE,
-    READY,
-    TASK_ERROR,
-    MetricBoard,
-    PersistentWorkerPool,
-    attach_board,
-)
+from repro.sweep.phases import PhaseAccumulator, phase_clock
+from repro.sweep.pool import ACK, DONE, TASK_ERROR, PersistentWorkerPool
 from repro.sweep.registry import build_fabric, parse_failure, resolve_model
 from repro.sweep.spec import SweepConfig, SweepSpec, structural_groups
 from repro.sweep.template import StructuralTemplate, TemplateStore, get_template
@@ -84,7 +79,7 @@ class SweepResult:
     wall_time_s: float = 0.0
     # Phase breakdown (repro.sweep.phases): where the wall time went.  Zero
     # when the executing path does not time that phase (e.g. ``advance_s``
-    # in unfolded runs, ``store_s`` without a cache).
+    # from :func:`run_config`, ``store_s`` without a cache).
     setup_s: float = 0.0
     solve_s: float = 0.0
     advance_s: float = 0.0
@@ -96,9 +91,9 @@ class SweepResult:
     #: Executor observability (DESIGN.md §10): events consumed by the
     #: event loop; water-filling rounds executed vs. inherited from the
     #: incremental kernel's freeze record.  ``events`` is path-independent
-    #: (folded and unfolded runs consume identical event counts); the round
-    #: counters are mode-dependent observability and stay 0 outside the
-    #: folded native-batch path.
+    #: (folded runs and :func:`run_config` consume identical event counts);
+    #: the round counters are mode-dependent observability and stay 0 outside
+    #: the folded native-batch path.
     events: int = 0
     solve_rounds: int = 0
     rounds_replayed: int = 0
@@ -139,54 +134,6 @@ class SweepResult:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "SweepResult":
         return cls(**payload)
-
-
-#: The numeric fields of :class:`SweepResult`, in shared-memory row order.
-#: Workers write one float64 vector per config onto the
-#: :class:`~repro.sweep.pool.MetricBoard`; the parent reassembles the result
-#: from this vector plus data it already holds (the config, its hash) and
-#: two small strings from the ack.  float64 round-trips every field exactly
-#: (``num_micro_batches`` is a small integer), so transport is bit-exact.
-METRIC_FIELDS = (
-    "iteration_time_s",
-    "stage_time_s",
-    "dp_allreduce_s",
-    "pp_transfer_s",
-    "reconfig_blocking_s",
-    "comm_bytes",
-    "compute_time_s",
-    "num_micro_batches",
-    "tokens_per_iteration",
-    "tokens_per_second",
-    "wall_time_s",
-    "events",
-    "solve_rounds",
-    "rounds_replayed",
-) + PHASE_FIELDS
-
-
-def _result_from_metrics(
-    config: SweepConfig,
-    config_hash: str,
-    fabric: str,
-    model: str,
-    template_source: str,
-    vector: Sequence[float],
-) -> SweepResult:
-    """Rebuild a :class:`SweepResult` from a transported metric vector."""
-    values = dict(zip(METRIC_FIELDS, vector))
-    values["num_micro_batches"] = int(values["num_micro_batches"])
-    for name in ("events", "solve_rounds", "rounds_replayed"):
-        values[name] = int(values[name])
-    return SweepResult(
-        config=config.to_dict(),
-        config_hash=config_hash,
-        fabric=fabric,
-        model=model,
-        template_source=template_source,
-        from_cache=False,
-        **values,
-    )
 
 
 #: Uniquifies temp-file names within one process (two pool tasks — or the
@@ -252,9 +199,10 @@ def run_config(
     """Materialise one configuration and simulate it — always from scratch.
 
     This is the reference path (no template): the differential tests compare
-    templated folded execution against it.  It still reports the phase split
-    (``setup_s`` = materialisation through executor construction, ``solve_s``
-    = the fluid solve), so profiles of folded and unfolded runs line up.
+    templated folded execution against it, and the runner falls back to it
+    for a configuration that cannot run folded.  It still reports the phase
+    split (``setup_s`` = materialisation through executor construction,
+    ``solve_s`` = the fluid solve), so its profile lines up with folded runs.
     """
     start = phase_clock()
     model, cluster, fabric, options = _materialise(config, solver)
@@ -301,122 +249,49 @@ def iter_run_config(
     )
 
 
-def _worker(
-    payload: Tuple[int, Dict[str, object], str, Optional[str]]
-) -> Tuple[int, Dict[str, object]]:
-    """Legacy one-config entry point (kept for API compatibility).
-
-    The pool tasks below supersede it, but its contract — failures are
-    returned as tagged payloads rather than raised, so one bad configuration
-    cannot tear down a result stream — is still the right building block for
-    external callers driving their own pools.
-    """
-    index, config_dict, config_hash, solver = payload
-    try:
-        config = SweepConfig.from_dict(config_dict)
-        result = run_config(config, solver=solver, config_hash=config_hash)
-        return index, result.to_dict()
-    except Exception as exc:  # noqa: BLE001 — structured error record
-        return index, {
-            "__error__": f"{type(exc).__name__}: {exc}",
-            "config": config_dict,
-            "config_hash": config_hash,
-        }
-
-
-def _ok_payload(board, slot: int, index: int, result: SweepResult) -> tuple:
-    """Ack for one completed config: metrics on the board, strings inline."""
-    vector = [float(getattr(result, name)) for name in METRIC_FIELDS]
-    if board is not None:
-        board.write(slot, vector)
-        return ("ok", index, slot, result.fabric, result.model,
-                result.template_source, None)
-    return ("ok", index, slot, result.fabric, result.model,
-            result.template_source, tuple(vector))
-
-
-def _config_shard_task(
-    emit,
-    config_dicts: List[Dict[str, object]],
-    hashes: List[str],
-    indices: List[int],
-    slots: List[int],
-    solver: Optional[str],
-    cache_dir: Optional[str],
-    board_name: Optional[str],
-    num_slots: int,
-) -> None:
-    """Pool task: one worker's share of unfolded cache-miss configs.
-
-    Each config is simulated, written through to the cache (crash salvage),
-    its metric vector placed on the shared-memory board, and acked with two
-    small strings — the numbers never travel through a pickle.
-    """
-    board = attach_board(board_name, num_slots, len(METRIC_FIELDS))
-    try:
-        for config_dict, config_hash, index, slot in zip(
-            config_dicts, hashes, indices, slots
-        ):
-            try:
-                config = SweepConfig.from_dict(config_dict)
-                result = run_config(config, solver=solver, config_hash=config_hash)
-            except Exception as exc:  # noqa: BLE001 — structured error record
-                emit(("err", index, f"{type(exc).__name__}: {exc}"))
-                continue
-            _store_result(cache_dir, result)
-            emit(_ok_payload(board, slot, index, result))
-    finally:
-        if board is not None:
-            board.close()
-
-
 def _fold_shard_task(
     emit,
-    config_dicts: List[Dict[str, object]],
+    configs: List[SweepConfig],
     hashes: List[str],
     indices: List[int],
-    slots: List[int],
     solver: Optional[str],
     cache_dir: Optional[str],
-    board_name: Optional[str],
-    num_slots: int,
     fold_width: int,
-    template_dir: Optional[str] = None,
+    template_dir: Optional[str],
 ) -> None:
     """Pool task: one worker's shard of whole structural groups, run folded.
 
-    The shard re-enters :class:`FoldedSweepRunner` serially in-worker, so a
-    sharded parallel run is exactly N independent serial folded runs — which
-    is why its results are bit-identical to the serial folded runner.  Each
-    result streams out (write-through cache, board row, ack) the moment its
-    generator finishes, not at shard end.  ``template_dir`` hands the worker
-    the on-disk template tier: the template of each structural group is
-    built (or disk-loaded) once per shard task and shared by every config in
-    the shard; since shards hold whole groups, no group's template is built
+    The shard re-enters :class:`SweepRunner` serially in-worker, so a
+    sharded parallel run is exactly N independent serial runs — which is why
+    its results are bit-identical to the serial runner.  Each finished
+    config is written through to the cache and acked as ``("ok", index,
+    SweepResult)`` the moment its generator finishes, not at shard end; a
+    config that fails even its per-config fallback is acked as ``("err",
+    index, message)``.  ``template_dir`` hands the worker the on-disk
+    template tier: each structural group's template is built (or
+    disk-loaded) once per shard task and shared by every config in the
+    shard; since shards hold whole groups, no group's template is built
     twice across the pool.
     """
-    board = attach_board(board_name, num_slots, len(METRIC_FIELDS))
-    try:
-        configs = [SweepConfig.from_dict(d) for d in config_dicts]
-        shard = FoldedSweepRunner(
-            configs, fold_width=fold_width, cache_dir=cache_dir, solver=solver,
-            template_dir=template_dir,
-        )
-        shard.result_callback = lambda local, result: emit(
-            _ok_payload(board, slots[local], indices[local], result)
-        )
-        results: List[Optional[SweepResult]] = [None] * len(configs)
-        # The parent already established these are cache misses and computed
-        # their hashes; enter below run() to skip a redundant cache pass.
-        errors = shard._run_misses(
-            list(range(len(configs))), list(hashes), results
-        )
-        index_of_hash = dict(zip(hashes, indices))
-        for error in errors:
-            emit(("err", index_of_hash[error.config_hash], error.error))
-    finally:
-        if board is not None:
-            board.close()
+    shard = SweepRunner(
+        configs, cache_dir=cache_dir, solver=solver, fold_width=fold_width,
+        template_dir=template_dir,
+    )
+    shard.result_callback = lambda local, result: emit(
+        ("ok", indices[local], result)
+    )
+    errors: Dict[int, SweepError] = {}
+    # The parent already established these are cache misses and computed
+    # their hashes; enter below run() to skip a redundant cache pass.
+    shard._fold_serial(
+        list(range(len(configs))), list(hashes), [None] * len(configs), errors
+    )
+    for local in sorted(errors):
+        emit(("err", indices[local], errors[local].error))
+
+
+# perfbench/tracing.py wraps the pool task under this older name as well.
+_config_shard_task = _fold_shard_task
 
 
 def _reset_caches_task(emit) -> None:
@@ -459,40 +334,75 @@ class SweepRunError(RuntimeError):
 
 
 class SweepRunner:
-    """Runs a sweep, optionally parallel and optionally cached.
+    """Runs a sweep folded, inline or over worker processes, optionally cached.
 
-    Parallel runs execute on a :class:`~repro.sweep.pool.PersistentWorkerPool`
-    owned by the runner: workers are spawned once per runner lifetime (not
-    per ``run()`` call), arrive warm (the cffi kernel pre-loaded) and stay
-    resident between grids.  Use the runner as a context manager, or call
-    :meth:`close`, to release them; an abandoned runner's workers are
-    daemonic and die with the process.
+    Cache misses are grouped by :meth:`SweepConfig.structural_key`; their
+    simulations run as :func:`iter_run_config` generators serviced in
+    lockstep by :func:`repro.sim.flows.service_advance_requests`, so a single
+    ``waterfill_batch`` call carries every live member's flow events between
+    Python-side task events (DESIGN.md §6).  Results are bit-identical to
+    :func:`run_config` at any fold width: each configuration's network is an
+    independent block of the batched CSR, and the C loop replays the
+    executor's event loop exactly.
+
+    With ``workers=N`` (N ≥ 2) the groups are sharded *whole* across a
+    :class:`~repro.sweep.pool.PersistentWorkerPool` owned by the runner
+    (§7): a group never splits, so every worker is exactly a serial runner
+    over its shard, and each finished config streams back as a
+    ``("ok", index, SweepResult)`` ack on the pool's result queue.  Workers
+    are spawned once per runner lifetime (not per ``run()`` call), arrive
+    warm (the cffi kernel pre-loaded) and stay resident between grids.  Use
+    the runner as a context manager, or call :meth:`close`, to release them;
+    an abandoned runner's workers are daemonic and die with the process.
+
+    A configuration whose generator raises falls back to :func:`run_config`;
+    only if that also fails is a :class:`SweepError` recorded (and raised as
+    :class:`SweepRunError` after the rest complete).
 
     Args:
         sweep: A :class:`SweepSpec` or an explicit sequence of
             :class:`SweepConfig` records.
-        workers: Worker processes; ``0`` or ``1`` runs inline (no pool).
+        workers: Worker processes; ``0`` or ``1`` folds inline (no pool).
         cache_dir: Directory for per-configuration result JSON keyed by the
             config hash; ``None`` disables caching.
         solver: Fluid-solver override forwarded to every run (``None`` keeps
-            the process default).
+            the process default); the native kernel folds in C, other
+            solvers fold through an equivalent per-network Python loop.
+        fold_width: Maximum configurations folded into one batch (per worker
+            when sharded).
+        template_dir: Directory of the on-disk
+            :class:`~repro.sweep.template.TemplateStore` (second tier of the
+            structural-template cache); ``None`` keeps templates in-memory
+            only.  The in-memory tier is always on — it is what amortises
+            materialisation across a group's configs.
     """
 
     def __init__(
         self,
         sweep: Union[SweepSpec, Sequence[SweepConfig]],
+        *,
         workers: int = 0,
         cache_dir: Optional[str] = None,
         solver: Optional[str] = None,
+        fold_width: int = 16,
+        template_dir: Optional[str] = None,
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be non-negative")
+        if fold_width < 1:
+            raise ValueError("fold_width must be positive")
         self.configs: List[SweepConfig] = (
             sweep.expand() if isinstance(sweep, SweepSpec) else list(sweep)
         )
         self.workers = workers
         self.cache_dir = cache_dir
         self.solver = solver
+        self.fold_width = fold_width
+        self.template_dir = template_dir
+        #: Invoked as ``callback(index, result)`` whenever a configuration
+        #: completes (folded or via fallback).  Used by the in-worker shard
+        #: task to stream results; ``None`` outside the pool.
+        self.result_callback: Optional[Callable[[int, SweepResult], None]] = None
         self._pool: Optional[PersistentWorkerPool] = None
 
     # ------------------------------------------------------------------ pool
@@ -593,9 +503,6 @@ class SweepRunner:
         result.from_cache = True
         return result
 
-    def _cache_store(self, result: SweepResult) -> None:
-        _store_result(self.cache_dir, result)
-
     # ------------------------------------------------------------------- run
     def run(self) -> List[SweepResult]:
         """Execute the sweep; results are ordered like the configurations.
@@ -618,273 +525,16 @@ class SweepRunner:
                 misses.append(index)
 
         if misses:
-            errors = self._run_misses(misses, hashes, results)
+            errors: Dict[int, SweepError] = {}
+            if self.workers > 1:
+                self._run_parallel(misses, hashes, results, errors)
+            else:
+                self._fold_serial(misses, hashes, results, errors)
             if errors:
-                raise SweepRunError(errors)
+                raise SweepRunError([errors[index] for index in sorted(errors)])
 
         assert all(result is not None for result in results)
         return [result for result in results if result is not None]
-
-    def _run_misses(
-        self,
-        misses: List[int],
-        hashes: List[str],
-        results: List[Optional[SweepResult]],
-    ) -> List[SweepError]:
-        """Simulate the cache misses in place; return per-config failures."""
-        if self.workers <= 1:
-            for index in misses:
-                result = run_config(
-                    self.configs[index],
-                    solver=self.solver,
-                    config_hash=hashes[index],
-                )
-                self._cache_store(result)
-                results[index] = result
-            return []
-        shards = self._shard_misses(misses, hashes)
-        return self._run_parallel(misses, hashes, results, shards)
-
-    # ------------------------------------------------------- parallel driving
-    def _shard_misses(
-        self, misses: List[int], hashes: List[str]
-    ) -> List[List[int]]:
-        """Static per-worker assignment for the unfolded path (round-robin)."""
-        shards: List[List[int]] = [[] for _ in range(self.workers)]
-        for position, index in enumerate(misses):
-            shards[position % self.workers].append(index)
-        return shards
-
-    def _make_shard_task(
-        self,
-        indices: List[int],
-        hashes: List[str],
-        slot_of: Dict[int, int],
-        board: MetricBoard,
-    ) -> Tuple[Callable, tuple]:
-        """(task function, args) for one worker's shard."""
-        return _config_shard_task, (
-            [self.configs[i].to_dict() for i in indices],
-            [hashes[i] for i in indices],
-            indices,
-            [slot_of[i] for i in indices],
-            self.solver,
-            self.cache_dir,
-            board.name,
-            board.num_slots,
-        )
-
-    def _salvage_inline(
-        self,
-        indices: List[int],
-        hashes: List[str],
-        results: List[Optional[SweepResult]],
-        errors: Dict[int, SweepError],
-    ) -> None:
-        """Re-run configs a dead worker still owed, in this process."""
-        for index in indices:
-            config = self.configs[index]
-            try:
-                result = run_config(
-                    config, solver=self.solver, config_hash=hashes[index]
-                )
-            except Exception as exc:  # noqa: BLE001 — structured error record
-                errors[index] = SweepError(
-                    config=config.to_dict(),
-                    config_hash=hashes[index],
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            else:
-                self._cache_store(result)
-                results[index] = result
-
-    def _run_parallel(
-        self,
-        misses: List[int],
-        hashes: List[str],
-        results: List[Optional[SweepResult]],
-        shards: List[List[int]],
-    ) -> List[SweepError]:
-        """Drive the persistent pool over pre-assigned shards.
-
-        Every completed config streams back as an ack (metrics via shared
-        memory) and is recorded immediately; a worker that dies mid-shard is
-        detected by liveness polling, its already-cached work reloaded, the
-        remainder re-run inline, and the worker respawned so the pool stays
-        whole for the next run.
-        """
-        errors: Dict[int, SweepError] = {}
-        slot_of = {index: slot for slot, index in enumerate(misses)}
-        board = MetricBoard(len(misses), len(METRIC_FIELDS))
-        pool = self._ensure_pool()
-        task_meta: Dict[int, Tuple[int, List[int]]] = {}
-        outstanding: set = set()
-        acked: set = set()
-
-        def handle(event) -> None:
-            kind, _worker_id, task_id, payload = event
-            if kind == ACK:
-                tag = payload[0]
-                if tag == "ok":
-                    _, index, slot, fabric, model, template_source, metrics = payload
-                    vector = board.row(slot) if metrics is None else list(metrics)
-                    results[index] = _result_from_metrics(
-                        self.configs[index], hashes[index], fabric, model,
-                        template_source, vector,
-                    )
-                else:
-                    _, index, message = payload
-                    errors[index] = SweepError(
-                        config=self.configs[index].to_dict(),
-                        config_hash=hashes[index],
-                        error=message,
-                    )
-                acked.add(index)
-            elif kind == DONE:
-                outstanding.discard(task_id)
-            elif kind == TASK_ERROR:
-                # The task function itself blew up (not one config): treat
-                # like a crash of just that task — salvage whatever is owed.
-                salvage_task(task_id)
-                outstanding.discard(task_id)
-            elif kind == READY:  # a respawned worker warming up; ignore
-                pass
-
-        def salvage_task(task_id: int) -> None:
-            _worker_id, indices = task_meta[task_id]
-            pending = [i for i in indices if i not in acked]
-            recompute: List[int] = []
-            for index in pending:
-                # Write-through salvage: anything the worker finished (and
-                # cached) before dying is loaded, not re-simulated.
-                cached = self._cache_load(hashes[index])
-                if cached is not None:
-                    results[index] = cached
-                else:
-                    recompute.append(index)
-                acked.add(index)
-            if recompute:
-                self._salvage_inline(recompute, hashes, results, errors)
-
-        try:
-            for worker_id, indices in enumerate(shards):
-                if not indices:
-                    continue
-                func, args = self._make_shard_task(indices, hashes, slot_of, board)
-                task_id = pool.submit(worker_id, func, args)
-                task_meta[task_id] = (worker_id, indices)
-                outstanding.add(task_id)
-
-            while outstanding:
-                try:
-                    handle(pool.events(timeout=0.1))
-                    continue
-                except queue_mod.Empty:
-                    pass
-                dead_workers = {
-                    task_meta[task_id][0]
-                    for task_id in outstanding
-                    if not pool.is_alive(task_meta[task_id][0])
-                }
-                if not dead_workers:
-                    continue
-                # Drain acks the dead worker flushed before dying — they are
-                # completed work, not salvage.
-                while True:
-                    try:
-                        handle(pool.events(timeout=0.05))
-                    except queue_mod.Empty:
-                        break
-                for worker_id in dead_workers:
-                    owed = [
-                        task_id
-                        for task_id in list(outstanding)
-                        if task_meta[task_id][0] == worker_id
-                    ]
-                    for task_id in owed:
-                        salvage_task(task_id)
-                        outstanding.discard(task_id)
-                    pool.respawn(worker_id)
-        finally:
-            board.close()
-        return [errors[index] for index in sorted(errors)]
-
-
-class FoldedSweepRunner(SweepRunner):
-    """Folded sweep execution (DESIGN.md §6-§7): structurally-compatible
-    configurations advance through one batched solve → next-completion →
-    advance loop — optionally sharded over worker processes.
-
-    Cache misses are grouped by :meth:`SweepConfig.structural_key`; each
-    group's simulations run as :func:`iter_run_config` generators serviced in
-    lockstep by :func:`repro.sim.flows.service_advance_requests`, so a single
-    ``waterfill_batch`` call carries every member's flow events between
-    Python-side task events.  With ``workers=N`` the groups are sharded
-    *whole* across the persistent pool by config hash — a group never splits,
-    so each worker's batches stay regular and every worker is exactly a
-    serial folded runner over its shard; results are therefore bit-identical
-    to the serial folded runner (and to the unfolded runner) at any worker
-    count.  Results are bit-identical to the unfolded runner: each
-    configuration's network is an independent block of the batched CSR, and
-    the C loop replays the executor's event loop exactly.
-
-    A configuration whose generator raises falls back to the unfolded
-    per-config path; only if that also fails is a :class:`SweepError`
-    recorded (and raised as :class:`SweepRunError` after the rest complete).
-
-    Args:
-        sweep: Spec or explicit config list, as for :class:`SweepRunner`.
-        fold_width: Maximum configurations folded into one batch (per worker
-            when sharded).
-        cache_dir: Per-config result cache, as for :class:`SweepRunner`.
-        solver: Fluid-solver override; the native kernel folds in C, other
-            solvers fold through an equivalent per-network Python loop.
-        workers: Worker processes; ``0`` or ``1`` folds inline.
-        template_dir: Directory of the on-disk
-            :class:`~repro.sweep.template.TemplateStore` (second tier of the
-            structural-template cache); ``None`` keeps templates in-memory
-            only.  The in-memory tier is always on — it is what amortises
-            materialisation across a group's configs.
-    """
-
-    def __init__(
-        self,
-        sweep: Union[SweepSpec, Sequence[SweepConfig]],
-        fold_width: int = 16,
-        cache_dir: Optional[str] = None,
-        solver: Optional[str] = None,
-        workers: int = 0,
-        template_dir: Optional[str] = None,
-    ) -> None:
-        super().__init__(
-            sweep, workers=workers, cache_dir=cache_dir, solver=solver
-        )
-        if fold_width < 1:
-            raise ValueError("fold_width must be positive")
-        self.fold_width = fold_width
-        self.template_dir = template_dir
-        #: Invoked as ``callback(index, result)`` whenever a configuration
-        #: completes (folded or via fallback).  Used by the in-worker shard
-        #: task to stream results; ``None`` outside the pool.
-        self.result_callback: Optional[Callable[[int, SweepResult], None]] = None
-
-    def _template_store(self) -> Optional[TemplateStore]:
-        if self.template_dir is None:
-            return None
-        return TemplateStore(self.template_dir)
-
-    def _run_misses(
-        self,
-        misses: List[int],
-        hashes: List[str],
-        results: List[Optional[SweepResult]],
-    ) -> List[SweepError]:
-        if self.workers > 1:
-            shards = self._shard_groups(misses, hashes)
-            return self._run_parallel(misses, hashes, results, shards)
-        errors: Dict[int, SweepError] = {}
-        self._fold_serial(misses, hashes, results, errors)
-        return [errors[index] for index in sorted(errors)]
 
     # ---------------------------------------------------------- serial fold
     def _fold_serial(
@@ -900,7 +550,10 @@ class FoldedSweepRunner(SweepRunner):
         # every generator of the group; per-config phase accumulators time
         # the generators from outside, so the simulator itself carries no
         # instrumentation.
-        store = self._template_store()
+        store = (
+            TemplateStore(self.template_dir)
+            if self.template_dir is not None else None
+        )
         key_of: Dict[int, tuple] = {}
         order: List[int] = []
         for key, positions in grouped.items():
@@ -973,7 +626,7 @@ class FoldedSweepRunner(SweepRunner):
     def _record(self, index, result, results, phases=None, source="none") -> None:
         """One configuration finished: cache it, place it, stream it."""
         store_start = phase_clock()
-        self._cache_store(result)
+        _store_result(self.cache_dir, result)
         if phases is not None:
             phases.store_s = phase_clock() - store_start
             phases.apply(result)
@@ -983,8 +636,8 @@ class FoldedSweepRunner(SweepRunner):
             self.result_callback(index, result)
 
     def _step(self, index, generator, outcome, live, hashes, results, errors,
-              phases_of=None, source_of=None):
-        phases = phases_of.get(index) if phases_of is not None else None
+              phases_of, source_of):
+        phases = phases_of[index]
         step_start = phase_clock()
         try:
             if outcome is None:
@@ -992,27 +645,25 @@ class FoldedSweepRunner(SweepRunner):
             else:
                 request = generator.send(outcome)
         except StopIteration as stop:
-            if phases is not None:
-                elapsed = phase_clock() - step_start
-                if outcome is None:
-                    phases.setup_s += elapsed
-                else:
-                    phases.advance_s += elapsed
-            source = source_of.get(index, "none") if source_of else "none"
-            self._record(index, stop.value, results, phases=phases, source=source)
+            finished, value = True, stop.value
         except Exception:  # noqa: BLE001 — straggler leaves the fold
             self._run_unfolded(index, hashes, results, errors)
+            return
         else:
-            if phases is not None:
-                elapsed = phase_clock() - step_start
-                # The first step runs materialisation + simulator + DAG build
-                # up to the first flow batch: that is setup.  Later steps are
-                # Python-side task bookkeeping between solves: advance.
-                if outcome is None:
-                    phases.setup_s += elapsed
-                else:
-                    phases.advance_s += elapsed
-            live.append((index, generator, request))
+            finished, value = False, request
+        elapsed = phase_clock() - step_start
+        # The first step runs materialisation + simulator + DAG build up to
+        # the first flow batch: that is setup.  Later steps are Python-side
+        # task bookkeeping between solves: advance.
+        if outcome is None:
+            phases.setup_s += elapsed
+        else:
+            phases.advance_s += elapsed
+        if finished:
+            self._record(index, value, results, phases=phases,
+                         source=source_of[index])
+        else:
+            live.append((index, generator, value))
 
     def _run_unfolded(self, index, hashes, results, errors):
         """Per-config fallback for stragglers that cannot run folded."""
@@ -1030,7 +681,7 @@ class FoldedSweepRunner(SweepRunner):
         else:
             self._record(index, result, results)
 
-    # -------------------------------------------------------- group sharding
+    # ------------------------------------------------------ parallel driving
     def _shard_groups(
         self, misses: List[int], hashes: List[str]
     ) -> List[List[int]]:
@@ -1041,7 +692,7 @@ class FoldedSweepRunner(SweepRunner):
         hash) and assigned greedily to the least-loaded worker.  Entirely a
         function of the miss set's hashes, so the sharding is deterministic
         — and because a group never splits, each worker's fold sees exactly
-        the batches a serial folded run over those configs would see.
+        the batches a serial run over those configs would see.
         """
         grouped = structural_groups([self.configs[index] for index in misses])
         ordered = sorted(
@@ -1059,33 +710,113 @@ class FoldedSweepRunner(SweepRunner):
             loads[target] += len(group)
         return shards
 
-    def _make_shard_task(
+    def _run_parallel(
         self,
-        indices: List[int],
-        hashes: List[str],
-        slot_of: Dict[int, int],
-        board: MetricBoard,
-    ) -> Tuple[Callable, tuple]:
-        return _fold_shard_task, (
-            [self.configs[i].to_dict() for i in indices],
-            [hashes[i] for i in indices],
-            indices,
-            [slot_of[i] for i in indices],
-            self.solver,
-            self.cache_dir,
-            board.name,
-            board.num_slots,
-            self.fold_width,
-            self.template_dir,
-        )
-
-    def _salvage_inline(
-        self,
-        indices: List[int],
+        misses: List[int],
         hashes: List[str],
         results: List[Optional[SweepResult]],
         errors: Dict[int, SweepError],
     ) -> None:
-        """Salvage a dead worker's leftovers with a serial fold (groups are
-        still whole — a shard only ever contains complete groups)."""
-        self._fold_serial(indices, hashes, results, errors)
+        """Drive the persistent pool over the group shards.
+
+        Every completed config streams back as an ack carrying its
+        :class:`SweepResult` and is recorded immediately; a worker that dies
+        mid-shard is detected by liveness polling, its already-cached work
+        reloaded, the remainder re-run inline as a serial fold (groups are
+        still whole — a shard only ever holds complete groups), and the
+        worker respawned so the pool stays whole for the next run.
+        """
+        pool = self._ensure_pool()
+        task_meta: Dict[int, Tuple[int, List[int]]] = {}
+        outstanding: Set[int] = set()
+        acked: Set[int] = set()
+
+        def handle(event) -> None:
+            kind, _worker_id, task_id, payload = event
+            if kind == ACK:
+                tag, index, value = payload
+                if tag == "ok":
+                    results[index] = value
+                else:
+                    errors[index] = SweepError(
+                        config=self.configs[index].to_dict(),
+                        config_hash=hashes[index],
+                        error=value,
+                    )
+                acked.add(index)
+            elif kind == DONE:
+                outstanding.discard(task_id)
+            elif kind == TASK_ERROR:
+                # The task function itself blew up (not one config): treat
+                # like a crash of just that task — salvage whatever is owed.
+                salvage_task(task_id)
+                outstanding.discard(task_id)
+            # READY: a respawned worker warming up; nothing to record.
+
+        def salvage_task(task_id: int) -> None:
+            _worker_id, indices = task_meta[task_id]
+            recompute: List[int] = []
+            for index in indices:
+                if index in acked:
+                    continue
+                # Write-through salvage: anything the worker finished (and
+                # cached) before dying is loaded, not re-simulated.
+                cached = self._cache_load(hashes[index])
+                if cached is not None:
+                    results[index] = cached
+                else:
+                    recompute.append(index)
+                acked.add(index)
+            if recompute:
+                self._fold_serial(recompute, hashes, results, errors)
+
+        for worker_id, indices in enumerate(self._shard_groups(misses, hashes)):
+            if not indices:
+                continue
+            task_id = pool.submit(worker_id, _fold_shard_task, (
+                [self.configs[i] for i in indices],
+                [hashes[i] for i in indices],
+                indices,
+                self.solver,
+                self.cache_dir,
+                self.fold_width,
+                self.template_dir,
+            ))
+            task_meta[task_id] = (worker_id, indices)
+            outstanding.add(task_id)
+
+        while outstanding:
+            try:
+                handle(pool.events(timeout=0.1))
+                continue
+            except queue_mod.Empty:
+                pass
+            dead_workers = {
+                task_meta[task_id][0]
+                for task_id in outstanding
+                if not pool.is_alive(task_meta[task_id][0])
+            }
+            if not dead_workers:
+                continue
+            # Drain acks the dead worker flushed before dying — they are
+            # completed work, not salvage.
+            while True:
+                try:
+                    handle(pool.events(timeout=0.05))
+                except queue_mod.Empty:
+                    break
+            for worker_id in dead_workers:
+                owed = [
+                    task_id
+                    for task_id in list(outstanding)
+                    if task_meta[task_id][0] == worker_id
+                ]
+                for task_id in owed:
+                    salvage_task(task_id)
+                    outstanding.discard(task_id)
+                pool.respawn(worker_id)
+
+
+# perfbench/tracing.py and perfbench/workloads.py use this former name of
+# the runner (the tracer wraps FoldedSweepRunner._run_unfolded).
+FoldedSweepRunner = SweepRunner

@@ -87,7 +87,7 @@ class SweepConfig:
         Configurations sharing a key build structurally-compatible
         simulations — same fabric shape, model, policy and failure scenario —
         and can therefore be folded into one block-diagonal batch
-        (:class:`repro.sweep.runner.FoldedSweepRunner`).  The remaining axes
+        (:class:`repro.sweep.runner.SweepRunner`).  The remaining axes
         (bandwidths, seeds, delays, reconfiguration engines) only change link
         capacities, flow sizes and task durations, which fold freely.
 
@@ -116,8 +116,8 @@ def structural_groups(
 
     The returned dict maps each structural key to the positions (into
     ``configs``) of its members, in first-seen key order with positions
-    ascending — the fold-compatibility classes that drive folded admission,
-    group sharding and the CLI's folded-by-default decision.
+    ascending — the fold-compatibility classes that drive folded admission
+    and group sharding.
     """
     groups: Dict[Tuple[object, ...], List[int]] = {}
     for position, config in enumerate(configs):

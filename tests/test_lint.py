@@ -387,41 +387,6 @@ class TestEnv02:
         assert fired(report) == []
 
 
-class TestXproc01:
-    def test_missing_metric_field_fires(self, tmp_path):
-        report = lint_fixture(tmp_path, {
-            "phases.py": 'PHASE_FIELDS = ("solve_s",)\n',
-            "results.py": """
-                from phases import PHASE_FIELDS
-
-                METRIC_FIELDS = ("throughput",) + PHASE_FIELDS
-
-
-                class SweepResult:
-                    name: str
-                    throughput: float
-                    solve_s: float
-                    forgotten_metric_s: float
-            """,
-        })
-        assert fired(report) == ["XPROC01"]
-        assert "forgotten_metric_s" in report.violations[0].message
-
-    def test_declared_fields_are_clean(self, tmp_path):
-        report = lint_fixture(tmp_path, {
-            "results.py": """
-                METRIC_FIELDS = ("throughput", "solve_s")
-
-
-                class SweepResult:
-                    name: str
-                    throughput: float
-                    solve_s: float
-            """,
-        })
-        assert fired(report) == []
-
-
 class TestEngine:
     def test_syntax_error_is_a_config_failure(self, tmp_path):
         report = lint_fixture(tmp_path, {"broken.py": "def f(:\n"})
@@ -513,7 +478,7 @@ class TestCatalogue:
     EXPECTED = {
         "CACHE01", "CACHE02", "CACHE03",
         "DET01", "DET02", "DET03", "DET04", "DET05",
-        "ENV01", "ENV02", "XPROC01",
+        "ENV01", "ENV02",
     }
 
     def test_rule_set_is_complete(self):

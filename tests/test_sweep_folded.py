@@ -1,10 +1,11 @@
 """Folded sweep execution: equivalence, fallback and crash-safety tests.
 
-The folded runner must be a pure performance transformation: every result it
-produces is bit-identical to the unfolded runner's, whatever mix of fabrics,
-policies and failure scenarios the grid contains, and whatever goes wrong
-mid-run (straggler generators, kernel OOM, worker crashes) the run must
-degrade to slower-but-correct execution with structured error records.
+Folding must be a pure performance transformation: every result the runner
+produces is bit-identical to the per-config reference path
+(:func:`~repro.sweep.runner.run_config`), whatever mix of fabrics, policies
+and failure scenarios the grid contains, and whatever goes wrong mid-run
+(straggler generators, kernel OOM, worker crashes) the run must degrade to
+slower-but-correct execution with structured error records.
 """
 
 import json
@@ -20,7 +21,8 @@ from repro.sweep.runner import (
     SweepError,
     SweepRunError,
     SweepRunner,
-    _worker,
+    _fold_shard_task,
+    run_config,
 )
 
 # Mixed grid: both fabrics, both policies, a failure scenario — every
@@ -51,48 +53,53 @@ IDENTICAL_FIELDS = (
 )
 
 
-def assert_bit_identical(unfolded, folded):
-    assert len(unfolded) == len(folded)
-    for a, b in zip(unfolded, folded):
+def assert_bit_identical(reference, folded):
+    assert len(reference) == len(folded)
+    for a, b in zip(reference, folded):
         for name in IDENTICAL_FIELDS:
             assert getattr(a, name) == getattr(b, name), name
 
 
+def reference_results(spec):
+    """The per-config reference: every config simulated from scratch."""
+    return [run_config(config) for config in spec.expand()]
+
+
 class TestFoldedEquivalence:
     @pytest.fixture(scope="class")
-    def unfolded_results(self):
-        return SweepRunner(MIXED_SPEC, workers=0).run()
+    def reference(self):
+        return reference_results(MIXED_SPEC)
 
-    def test_bit_identical_on_mixed_grid(self, unfolded_results):
-        folded = FoldedSweepRunner(MIXED_SPEC).run()
-        assert_bit_identical(unfolded_results, folded)
+    def test_bit_identical_on_mixed_grid(self, reference):
+        folded = SweepRunner(MIXED_SPEC).run()
+        assert_bit_identical(reference, folded)
 
-    def test_fold_width_does_not_change_results(self, unfolded_results):
+    def test_fold_width_does_not_change_results(self, reference):
         for width in (1, 3):
-            folded = FoldedSweepRunner(MIXED_SPEC, fold_width=width).run()
-            assert_bit_identical(unfolded_results, folded)
+            folded = SweepRunner(MIXED_SPEC, fold_width=width).run()
+            assert_bit_identical(reference, folded)
 
-    def test_scalar_solver_folds_through_python_loop(self, unfolded_results):
-        folded = FoldedSweepRunner(MIXED_SPEC, solver="scalar").run()
-        for a, b in zip(unfolded_results, folded):
+    def test_scalar_solver_folds_through_python_loop(self, reference):
+        folded = SweepRunner(MIXED_SPEC, solver="scalar").run()
+        for a, b in zip(reference, folded):
             assert a.config_hash == b.config_hash
             assert b.iteration_time_s == pytest.approx(
                 a.iteration_time_s, rel=1e-9
             )
 
-    def test_write_through_caching(self, unfolded_results, tmp_path):
+    def test_write_through_caching(self, reference, tmp_path):
         cache = str(tmp_path / "cache")
-        first = FoldedSweepRunner(MIXED_SPEC, cache_dir=cache).run()
+        first = SweepRunner(MIXED_SPEC, cache_dir=cache).run()
         assert all(not r.from_cache for r in first)
-        second = FoldedSweepRunner(MIXED_SPEC, cache_dir=cache).run()
+        second = SweepRunner(MIXED_SPEC, cache_dir=cache).run()
         assert all(r.from_cache for r in second)
-        assert_bit_identical(unfolded_results, first)
+        assert_bit_identical(reference, first)
         for a, b in zip(first, second):
             assert a.iteration_time_s == b.iteration_time_s
 
     def test_invalid_fold_width_rejected(self):
         with pytest.raises(ValueError):
-            FoldedSweepRunner(MIXED_SPEC, fold_width=0)
+            SweepRunner(MIXED_SPEC, fold_width=0)
 
 
 class TestIncrementalEquivalence:
@@ -109,30 +116,30 @@ class TestIncrementalEquivalence:
         set_incremental(None)
 
     @pytest.fixture(scope="class")
-    def unfolded_results(self):
-        return SweepRunner(MIXED_SPEC, workers=0).run()
+    def reference(self):
+        return reference_results(MIXED_SPEC)
 
-    def test_incremental_off_matches_on_mixed_grid(self, unfolded_results):
+    def test_incremental_off_matches_on_mixed_grid(self, reference):
         from repro.sim.flows import set_incremental
 
         set_incremental(False)
-        folded_off = FoldedSweepRunner(MIXED_SPEC).run()
+        folded_off = SweepRunner(MIXED_SPEC).run()
         set_incremental(True)
-        folded_on = FoldedSweepRunner(MIXED_SPEC).run()
-        assert_bit_identical(unfolded_results, folded_off)
-        assert_bit_identical(unfolded_results, folded_on)
+        folded_on = SweepRunner(MIXED_SPEC).run()
+        assert_bit_identical(reference, folded_off)
+        assert_bit_identical(reference, folded_on)
         # The fallback path really did avoid the replay machinery, and the
         # incremental path really did inherit rounds from the freeze record.
         assert all(r.rounds_replayed == 0 for r in folded_off)
         assert sum(r.rounds_replayed for r in folded_on) > 0
 
-    def test_fold_width_variance_with_incremental(self, unfolded_results):
+    def test_fold_width_variance_with_incremental(self, reference):
         from repro.sim.flows import set_incremental
 
         set_incremental(True)
         for width in (1, 3):
-            folded = FoldedSweepRunner(MIXED_SPEC, fold_width=width).run()
-            assert_bit_identical(unfolded_results, folded)
+            folded = SweepRunner(MIXED_SPEC, fold_width=width).run()
+            assert_bit_identical(reference, folded)
 
     def test_env_flag_disables_incremental(self, monkeypatch):
         from repro.sim.flows import incremental_enabled
@@ -140,28 +147,31 @@ class TestIncrementalEquivalence:
         assert incremental_enabled()  # default on
         monkeypatch.setenv("REPRO_WATERFILL_INCREMENTAL", "0")
         assert not incremental_enabled()
-        folded = FoldedSweepRunner(MIXED_SPEC).run()
+        folded = SweepRunner(MIXED_SPEC).run()
         assert all(r.rounds_replayed == 0 for r in folded)
 
 
 class TestFoldedFallback:
     def test_straggler_falls_back_to_unfolded(self, monkeypatch):
         """A config whose generator blows up mid-fold still produces its
-        (identical) result via the per-config path."""
+        (identical) result via the per-config path; the others stay folded."""
         spec = SweepSpec(fabrics=["MixNet"], models=["Mixtral-8x7B"],
                          seeds=[0, 1], num_servers=16)
-        expected = SweepRunner(spec, workers=0).run()
+        expected = reference_results(spec)
         victim = expected[1].config_hash
         real = runner_mod.iter_run_config
 
-        def sabotaged(config, solver=None, config_hash=None):
+        def sabotaged(config, solver=None, config_hash=None, **kwargs):
             if config_hash == victim:
                 raise RuntimeError("injected straggler")
-            return real(config, solver=solver, config_hash=config_hash)
+            return real(config, solver=solver, config_hash=config_hash, **kwargs)
 
         monkeypatch.setattr(runner_mod, "iter_run_config", sabotaged)
-        folded = FoldedSweepRunner(spec).run()
+        folded = SweepRunner(spec).run()
         assert_bit_identical(expected, folded)
+        # Only the victim left the fold: fallback results carry no template.
+        assert folded[0].template_source != "none"
+        assert folded[1].template_source == "none"
 
     def test_double_failure_is_a_structured_error(self, monkeypatch, tmp_path):
         """When the fallback fails too, the run finishes everything else,
@@ -170,25 +180,10 @@ class TestFoldedFallback:
                          seeds=[0, 1], num_servers=16)
         hashes = [c.config_hash() for c in spec.expand()]
         victim = hashes[0]
-
-        real_iter = runner_mod.iter_run_config
-        real_run = runner_mod.run_config
-
-        def bad_iter(config, solver=None, config_hash=None):
-            if config_hash == victim:
-                raise RuntimeError("injected fold failure")
-            return real_iter(config, solver=solver, config_hash=config_hash)
-
-        def bad_run(config, solver=None, config_hash=None):
-            if config_hash == victim:
-                raise RuntimeError("injected fallback failure")
-            return real_run(config, solver=solver, config_hash=config_hash)
-
-        monkeypatch.setattr(runner_mod, "iter_run_config", bad_iter)
-        monkeypatch.setattr(runner_mod, "run_config", bad_run)
+        _sabotage(monkeypatch, victim, "injected fallback failure")
         cache = tmp_path / "cache"
         with pytest.raises(SweepRunError) as excinfo:
-            FoldedSweepRunner(spec, cache_dir=str(cache)).run()
+            SweepRunner(spec, cache_dir=str(cache)).run()
         errors = excinfo.value.errors
         assert [e.config_hash for e in errors] == [victim]
         assert "injected fallback failure" in errors[0].error
@@ -197,14 +192,39 @@ class TestFoldedFallback:
         assert not (cache / f"{victim}.json").exists()
 
 
+def _sabotage(monkeypatch, victim, message):
+    """Make ``victim`` fail both folded and through the per-config fallback."""
+    real_iter = runner_mod.iter_run_config
+    real_run = runner_mod.run_config
+
+    def bad_iter(config, solver=None, config_hash=None, **kwargs):
+        if config_hash == victim:
+            raise RuntimeError("injected fold failure")
+        return real_iter(config, solver=solver, config_hash=config_hash, **kwargs)
+
+    def bad_run(config, solver=None, config_hash=None):
+        if config_hash == victim:
+            raise RuntimeError(message)
+        return real_run(config, solver=solver, config_hash=config_hash)
+
+    monkeypatch.setattr(runner_mod, "iter_run_config", bad_iter)
+    monkeypatch.setattr(runner_mod, "run_config", bad_run)
+
+
 class TestParallelCrashSafety:
-    def test_worker_returns_structured_error_payload(self):
-        """The pool entry point tags failures instead of raising, so one bad
-        config cannot tear down the imap_unordered stream."""
-        index, payload = _worker((7, {"fabric": "not-a-fabric"}, "deadbeef", None))
-        assert index == 7
-        assert "__error__" in payload
-        assert payload["config_hash"] == "deadbeef"
+    def test_worker_returns_structured_error_payload(self, monkeypatch):
+        """The pool task tags a failed config as an ``err`` ack instead of
+        raising, so one bad config cannot tear down its shard's stream."""
+        configs = SweepSpec(fabrics=["MixNet"], models=["Mixtral-8x7B"],
+                            seeds=[0, 1], num_servers=16).expand()
+        hashes = [c.config_hash() for c in configs]
+        _sabotage(monkeypatch, hashes[0], "injected task failure")
+        acks = []
+        _fold_shard_task(acks.append, configs, hashes, [7, 9], None, None, 16, None)
+        assert sorted(ack[:2] for ack in acks) == [("err", 7), ("ok", 9)]
+        by_tag = {ack[0]: ack[2] for ack in acks}
+        assert "injected task failure" in by_tag["err"]
+        assert by_tag["ok"].config_hash == hashes[1]
 
     @pytest.mark.skipif(sys.platform == "win32", reason="requires fork")
     def test_one_crash_does_not_lose_completed_work(self, monkeypatch, tmp_path):
@@ -216,17 +236,11 @@ class TestParallelCrashSafety:
                          seeds=[0, 1], num_servers=16)
         hashes = [c.config_hash() for c in spec.expand()]
         victim = hashes[0]
-        real_run = runner_mod.run_config
-
-        def bad_run(config, solver=None, config_hash=None):
-            if config_hash == victim:
-                raise RuntimeError("injected worker crash")
-            return real_run(config, solver=solver, config_hash=config_hash)
-
-        monkeypatch.setattr(runner_mod, "run_config", bad_run)
+        _sabotage(monkeypatch, victim, "injected worker crash")
         cache = tmp_path / "cache"
         with pytest.raises(SweepRunError) as excinfo:
-            SweepRunner(spec, workers=2, cache_dir=str(cache)).run()
+            with SweepRunner(spec, workers=2, cache_dir=str(cache)) as runner:
+                runner.run()
         errors = excinfo.value.errors
         assert [e.config_hash for e in errors] == [victim]
         assert "injected worker crash" in errors[0].error
@@ -238,7 +252,10 @@ class TestParallelCrashSafety:
 
 
 class TestHashOnce:
-    @pytest.mark.parametrize("runner_cls", [SweepRunner, FoldedSweepRunner])
+    @pytest.mark.parametrize(
+        "runner_cls", [SweepRunner, FoldedSweepRunner],
+        ids=["SweepRunner", "FoldedSweepRunner"],
+    )
     def test_config_hash_computed_once_per_config(
         self, monkeypatch, tmp_path, runner_cls
     ):

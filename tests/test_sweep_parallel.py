@@ -1,9 +1,9 @@
 """Sharded folded sweeps: pool lifecycle, transport and crash salvage.
 
-The sharded parallel paths (DESIGN.md §7) must be pure execution
-transformations, like folding itself: whatever the worker count, whatever
-dies mid-run, every result is bit-identical to the serial runners', and the
-persistent pool stays usable afterwards.  These tests inject failures with
+The sharded parallel path (DESIGN.md §7) must be a pure execution
+transformation, like folding itself: whatever the worker count, whatever
+dies mid-run, every result is bit-identical to the per-config reference
+path, and the persistent pool stays usable afterwards.  These tests inject failures with
 ``os._exit`` guarded on the parent pid, so the same monkeypatched function
 is lethal in a forked worker and healthy during the parent's inline salvage.
 """
@@ -12,27 +12,22 @@ import json
 import multiprocessing
 import os
 import queue
+import subprocess
 import sys
+import textwrap
 
 import pytest
 
 import repro.sweep.runner as runner_mod
 from repro.sweep import SweepSpec
-from repro.sweep.pool import (
-    ACK,
-    DONE,
-    TASK_ERROR,
-    MetricBoard,
-    PersistentWorkerPool,
-    attach_board,
+from repro.sweep.pool import ACK, DONE, TASK_ERROR, PersistentWorkerPool
+from repro.sweep.runner import SweepRunner, _store_result
+from test_sweep_folded import (
+    MIXED_SPEC,
+    _sabotage,
+    assert_bit_identical,
+    reference_results,
 )
-from repro.sweep.runner import (
-    METRIC_FIELDS,
-    FoldedSweepRunner,
-    SweepRunner,
-    _store_result,
-)
-from test_sweep_folded import MIXED_SPEC, assert_bit_identical
 
 needs_fork = pytest.mark.skipif(
     sys.platform == "win32"
@@ -64,14 +59,6 @@ def _failing_task(emit):
 
 def _exit_task(emit):
     os._exit(17)
-
-
-def _board_write_task(emit, board_name, num_slots, num_metrics, slot):
-    board = attach_board(board_name, num_slots, num_metrics)
-    assert board is not None
-    board.write(slot, [float(i) for i in range(num_metrics)])
-    board.close()
-    emit(("wrote", slot))
 
 
 @needs_fork
@@ -132,34 +119,11 @@ class TestPersistentWorkerPool:
             assert (kind, task_id) == (ACK, task)
 
 
-@needs_fork
-class TestMetricBoard:
-    def test_roundtrip_through_worker(self):
-        board = MetricBoard(num_slots=3, num_metrics=4)
-        if board.name is None:
-            pytest.skip("shared memory unavailable")
-        try:
-            with PersistentWorkerPool(1) as pool:
-                pool.submit(0, _board_write_task, (board.name, 3, 4, 1))
-                acked = False
-                while not acked:
-                    kind, _, _, payload = pool.events(timeout=10)
-                    acked = kind == ACK and payload == ("wrote", 1)
-            assert board.row(1) == [0.0, 1.0, 2.0, 3.0]
-            assert board.row(0) == [0.0, 0.0, 0.0, 0.0]
-        finally:
-            board.close()
-
-    def test_missing_board_degrades_to_none(self):
-        assert attach_board(None, 2, 2) is None
-        assert attach_board("nonexistent-board-name", 2, 2) is None
-
-
 class TestGroupSharding:
     def test_groups_never_split_and_assignment_is_deterministic(self):
         configs = MIXED_SPEC.expand()
         hashes = [config.config_hash() for config in configs]
-        runner = FoldedSweepRunner(configs, workers=3)
+        runner = SweepRunner(configs, workers=3)
         misses = list(range(len(configs)))
         shards = runner._shard_groups(misses, hashes)
         assert shards == runner._shard_groups(misses, hashes)
@@ -183,26 +147,34 @@ def _groups_of(configs):
 class TestParallelEquivalence:
     @pytest.fixture(scope="class")
     def serial_results(self):
-        return SweepRunner(MIXED_SPEC, workers=0).run()
+        return reference_results(MIXED_SPEC)
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_parallel_folded_bit_identical(self, serial_results, workers):
-        """Sharded folded results match serial folded and unfolded runs
-        bit-for-bit on the mixed grid (both fabrics, both policies, failure
-        configs included), at any worker count."""
-        folded = FoldedSweepRunner(MIXED_SPEC).run()
+        """Sharded results match the serial runner and the per-config
+        reference bit-for-bit on the mixed grid (both fabrics, both
+        policies, failure configs included), at any worker count."""
+        folded = SweepRunner(MIXED_SPEC).run()
         assert_bit_identical(serial_results, folded)
-        with FoldedSweepRunner(MIXED_SPEC, workers=workers) as runner:
+        with SweepRunner(MIXED_SPEC, workers=workers) as runner:
             parallel = runner.run()
         assert_bit_identical(serial_results, parallel)
 
-    def test_parallel_unfolded_bit_identical(self, serial_results):
-        with SweepRunner(MIXED_SPEC, workers=2) as runner:
-            parallel = runner.run()
-        assert_bit_identical(serial_results, parallel)
+    @pytest.mark.parametrize("fold_width", [1, 3, 16])
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_matches_run_config_at_every_width(
+        self, serial_results, workers, fold_width
+    ):
+        with SweepRunner(
+            MIXED_SPEC, workers=workers, fold_width=fold_width
+        ) as runner:
+            results = runner.run()
+        assert_bit_identical(serial_results, results)
+        # Every result came out of the fold, none from the fallback.
+        assert all(r.template_source != "none" for r in results)
 
     def test_pool_persists_across_runs(self):
-        with FoldedSweepRunner(TWO_GROUP_SPEC, workers=2) as runner:
+        with SweepRunner(TWO_GROUP_SPEC, workers=2) as runner:
             first = runner.run()
             pool = runner._pool
             assert pool is not None
@@ -215,22 +187,46 @@ class TestParallelEquivalence:
     def test_per_config_error_surfaces_from_worker(self, monkeypatch):
         from repro.sweep.runner import SweepRunError
 
-        expected = SweepRunner(TWO_GROUP_SPEC, workers=0).run()
-        victim = expected[0].config_hash
-        real = runner_mod.run_config
-
-        def bad_run(config, solver=None, config_hash=None):
-            if config_hash == victim:
-                raise RuntimeError("injected per-config failure")
-            return real(config, solver=solver, config_hash=config_hash)
-
-        monkeypatch.setattr(runner_mod, "run_config", bad_run)
+        victim = TWO_GROUP_SPEC.expand()[0].config_hash()
+        _sabotage(monkeypatch, victim, "injected per-config failure")
         with pytest.raises(SweepRunError) as excinfo:
             with SweepRunner(TWO_GROUP_SPEC, workers=2) as runner:
                 runner.run()
         errors = excinfo.value.errors
         assert [error.config_hash for error in errors] == [victim]
         assert "injected per-config failure" in errors[0].error
+
+    def test_pool_lifecycle_prints_no_warnings(self):
+        """A warmed pool driven twice and closed leaves nothing behind: no
+        shared-memory segments, no resource-tracker process, no warnings
+        at interpreter shutdown."""
+        script = textwrap.dedent("""
+            from repro.sweep import SweepRunner, SweepSpec
+
+            spec = SweepSpec(fabrics=["MixNet"], models=["Mixtral-8x7B"],
+                             failures=["none", "nic:1"], num_servers=16)
+            runner = SweepRunner(spec, workers=2)
+            runner.warm_up()
+            runner.run()
+            runner.run()
+            runner.close()
+            print("done")
+        """)
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "done"
+        output = (done.stdout + done.stderr).lower()
+        for marker in ("shared_memory", "resource_tracker", "leaked", "/psm_"):
+            assert marker not in output, done.stderr
 
 
 @needs_fork
@@ -239,10 +235,10 @@ class TestShardedCrashSalvage:
         """Kills a forked worker at the victim config; harmless in the
         parent, so inline salvage recomputes the real result."""
 
-        def wrapper(config, solver=None, config_hash=None):
+        def wrapper(config, solver=None, config_hash=None, **kwargs):
             if config_hash == victim and os.getpid() != parent_pid:
                 os._exit(23)
-            return real(config, solver=solver, config_hash=config_hash)
+            return real(config, solver=solver, config_hash=config_hash, **kwargs)
 
         return wrapper
 
@@ -250,20 +246,24 @@ class TestShardedCrashSalvage:
         """A worker dying mid-shard loses nothing: cached completions are
         reloaded, the remainder re-runs inline (still folded, still whole
         groups), the worker is respawned, and the runner stays usable."""
-        expected = SweepRunner(TWO_GROUP_SPEC, workers=0).run()
+        expected = reference_results(TWO_GROUP_SPEC)
         victim = expected[2].config_hash
         monkeypatch.setattr(
             runner_mod,
             "iter_run_config",
             self._lethal(runner_mod.iter_run_config, victim, os.getpid()),
         )
-        with FoldedSweepRunner(
+        with SweepRunner(
             TWO_GROUP_SPEC, workers=2, cache_dir=str(tmp_path / "cache")
         ) as runner:
+            runner.warm_up()
+            pids = [process.pid for process in runner._pool._procs]
             results = runner.run()
             assert_bit_identical(expected, results)
-            # The pool was repaired: every worker slot is alive again and the
-            # next run on the same runner works (cache makes it instant).
+            # The victim's worker really died and the pool was repaired:
+            # one slot holds a new process, every slot is alive again, and
+            # the next run on the same runner works (cache makes it instant).
+            assert [p.pid for p in runner._pool._procs] != pids
             assert all(
                 runner._pool.is_alive(worker_id)
                 for worker_id in range(runner.workers)
@@ -272,42 +272,32 @@ class TestShardedCrashSalvage:
         assert_bit_identical(expected, again)
         assert all(result.from_cache for result in again)
 
-    def test_unfolded_worker_crash_salvaged(self, monkeypatch, tmp_path):
-        expected = SweepRunner(TWO_GROUP_SPEC, workers=0).run()
-        victim = expected[1].config_hash
-        monkeypatch.setattr(
-            runner_mod,
-            "run_config",
-            self._lethal(runner_mod.run_config, victim, os.getpid()),
-        )
-        with SweepRunner(
-            TWO_GROUP_SPEC, workers=2, cache_dir=str(tmp_path / "cache")
-        ) as runner:
-            results = runner.run()
-        assert_bit_identical(expected, results)
-
     def test_salvage_prefers_cached_results(self, monkeypatch, tmp_path):
         """Configs the dead worker already wrote through are reloaded, not
         re-simulated: the parent's inline salvage only recomputes the rest."""
-        expected = SweepRunner(TWO_GROUP_SPEC, workers=0).run()
+        expected = reference_results(TWO_GROUP_SPEC)
         hashes = [result.config_hash for result in expected]
         victim = hashes[1]
         parent_pid = os.getpid()
         monkeypatch.setattr(
             runner_mod,
-            "run_config",
-            self._lethal(runner_mod.run_config, victim, parent_pid),
+            "iter_run_config",
+            self._lethal(runner_mod.iter_run_config, victim, parent_pid),
         )
         recomputed = []
-        real_salvage = SweepRunner._salvage_inline
+        real_fold = SweepRunner._fold_serial
 
-        def counting_salvage(self, indices, hashes_, results, errors):
-            recomputed.extend(indices)
-            return real_salvage(self, indices, hashes_, results, errors)
+        def counting_fold(self, misses, hashes_, results, errors):
+            if os.getpid() == parent_pid:  # the parent folds only to salvage
+                recomputed.extend(misses)
+            return real_fold(self, misses, hashes_, results, errors)
 
-        monkeypatch.setattr(SweepRunner, "_salvage_inline", counting_salvage)
+        monkeypatch.setattr(SweepRunner, "_fold_serial", counting_fold)
+        # fold_width=1: the victim's group mate finishes (and is written
+        # through) before the victim is admitted and kills the worker.
         with SweepRunner(
-            TWO_GROUP_SPEC, workers=2, cache_dir=str(tmp_path / "cache")
+            TWO_GROUP_SPEC, workers=2, fold_width=1,
+            cache_dir=str(tmp_path / "cache"),
         ) as runner:
             results = runner.run()
         assert_bit_identical(expected, results)
@@ -315,6 +305,7 @@ class TestShardedCrashSalvage:
         # was re-simulated inline; anything loaded from the write-through
         # cache was not handed to the inline salvage path.
         assert hashes.index(victim) in recomputed
+        assert hashes.index(victim) - 1 not in recomputed
         for index, result in enumerate(results):
             if result.from_cache:
                 assert index not in recomputed
@@ -322,7 +313,7 @@ class TestShardedCrashSalvage:
 
 class TestAtomicCacheStore:
     def test_store_leaves_only_the_final_file(self, tmp_path):
-        result = SweepRunner(TWO_GROUP_SPEC, workers=0).run()[0]
+        result = SweepRunner(TWO_GROUP_SPEC).run()[0]
         cache = tmp_path / "cache"
         _store_result(str(cache), result)
         entries = os.listdir(cache)
@@ -331,7 +322,7 @@ class TestAtomicCacheStore:
         assert payload["config_hash"] == result.config_hash
 
     def test_failed_write_cleans_its_temp_file(self, tmp_path, monkeypatch):
-        result = SweepRunner(TWO_GROUP_SPEC, workers=0).run()[0]
+        result = SweepRunner(TWO_GROUP_SPEC).run()[0]
         cache = tmp_path / "cache"
 
         def exploding_dump(*args, **kwargs):
@@ -342,19 +333,12 @@ class TestAtomicCacheStore:
             _store_result(str(cache), result)
         assert os.listdir(cache) == []  # no partial temp file left behind
 
-    def test_metric_vector_transport_is_exact(self):
-        """Every SweepResult field survives the float64 board row."""
-        result = SweepRunner(TWO_GROUP_SPEC, workers=0).run()[0]
-        from repro.sweep.spec import SweepConfig
-        from repro.sweep.runner import _result_from_metrics
-
-        vector = [float(getattr(result, name)) for name in METRIC_FIELDS]
-        rebuilt = _result_from_metrics(
-            SweepConfig.from_dict(result.config),
-            result.config_hash,
-            result.fabric,
-            result.model,
-            result.template_source,
-            vector,
-        )
-        assert rebuilt.to_dict() == result.to_dict()
+    @needs_fork
+    def test_result_transport_is_exact(self):
+        """Every SweepResult field survives the pool's result queue."""
+        result = SweepRunner(TWO_GROUP_SPEC).run()[0]
+        with PersistentWorkerPool(1) as pool:
+            pool.submit(0, _echo_task, (result,))
+            kind, _, _, payload = pool.events(timeout=10)
+        assert kind == ACK
+        assert payload[1].to_dict() == result.to_dict()

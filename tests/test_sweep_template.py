@@ -5,7 +5,8 @@ every value a :class:`~repro.sweep.template.StructuralTemplate` serves must
 be bit-identical to what a from-scratch run computes, whatever mix of
 fabrics, failures and seeds the grid stamps from it, at any worker count,
 and whatever state the on-disk tier is in (missing, corrupt, stale).  These
-tests enforce that against the unfolded reference runner, plus the cache
+tests enforce that against the per-config reference path
+(:func:`~repro.sweep.runner.run_config`), plus the cache
 policies (caps, clears, source accounting) and the phase instrumentation
 that proves the amortisation.
 """
@@ -23,7 +24,7 @@ from repro.moe.models import get_model
 from repro.moe.trace import clear_trace_memo, generate_trace
 from repro.sweep import SweepConfig, SweepSpec
 from repro.sweep.phases import PHASE_FIELDS, format_profile, summarize_phases
-from repro.sweep.runner import FoldedSweepRunner, SweepRunner
+from repro.sweep.runner import SweepRunner, run_config
 from repro.sweep.template import (
     _TEMPLATE_CACHE,
     _TEMPLATE_CACHE_LIMIT,
@@ -71,15 +72,15 @@ def assert_bit_identical(reference, candidate):
 
 
 class TestTemplatedDifferential:
-    """Templated folded execution vs the from-scratch unfolded reference."""
+    """Templated folded execution vs the from-scratch reference path."""
 
     @pytest.fixture(scope="class")
     def reference(self):
-        return SweepRunner(FAILURE_SPEC, workers=0).run()
+        return [run_config(config) for config in FAILURE_SPEC.expand()]
 
     def test_cold_templates_bit_identical(self, reference, tmp_path):
         clear_template_cache()
-        results = FoldedSweepRunner(
+        results = SweepRunner(
             FAILURE_SPEC, template_dir=str(tmp_path / "templates")
         ).run()
         assert_bit_identical(reference, results)
@@ -88,9 +89,9 @@ class TestTemplatedDifferential:
     def test_disk_seeded_templates_bit_identical(self, reference, tmp_path):
         template_dir = str(tmp_path / "templates")
         clear_template_cache()  # dirty-tracking only persists fresh builds
-        FoldedSweepRunner(FAILURE_SPEC, template_dir=template_dir).run()
+        SweepRunner(FAILURE_SPEC, template_dir=template_dir).run()
         clear_template_cache()  # drop the memory tier, keep the disk tier
-        results = FoldedSweepRunner(
+        results = SweepRunner(
             FAILURE_SPEC, template_dir=template_dir
         ).run()
         assert_bit_identical(reference, results)
@@ -98,13 +99,13 @@ class TestTemplatedDifferential:
 
     def test_memory_tier_reused_within_process(self, reference):
         clear_template_cache()
-        FoldedSweepRunner(FAILURE_SPEC).run()
-        results = FoldedSweepRunner(FAILURE_SPEC).run()
+        SweepRunner(FAILURE_SPEC).run()
+        results = SweepRunner(FAILURE_SPEC).run()
         assert_bit_identical(reference, results)
         assert {r.template_source for r in results} == {"memory"}
 
     def test_workers2_bit_identical(self, reference, tmp_path):
-        results = FoldedSweepRunner(
+        results = SweepRunner(
             FAILURE_SPEC,
             workers=2,
             template_dir=str(tmp_path / "templates"),
@@ -168,13 +169,13 @@ class TestTemplatedDifferential:
             fabrics=["TopoOpt"], models=["Mixtral-8x7B"],
             seeds=[0, 1], num_servers=16,
         )
-        reference = SweepRunner(spec, workers=0).run()
+        reference = [run_config(config) for config in spec.expand()]
         clear_template_cache()
         template_dir = str(tmp_path / "templates")
-        first = FoldedSweepRunner(spec, template_dir=template_dir).run()
+        first = SweepRunner(spec, template_dir=template_dir).run()
         clear_template_cache()
         clear_runtime_caches()  # force the hint to come off the disk tier
-        second = FoldedSweepRunner(spec, template_dir=template_dir).run()
+        second = SweepRunner(spec, template_dir=template_dir).run()
         assert_bit_identical(reference, first)
         assert_bit_identical(reference, second)
 
@@ -186,7 +187,7 @@ class TestTemplateStoreRobustness:
     def populated_store(self, tmp_path):
         template_dir = tmp_path / "templates"
         clear_template_cache()
-        results = FoldedSweepRunner(
+        results = SweepRunner(
             FAILURE_SPEC, template_dir=str(template_dir)
         ).run()
         files = sorted(template_dir.glob("*.json"))
@@ -198,7 +199,7 @@ class TestTemplateStoreRobustness:
         for path in template_dir.glob("*.json"):
             path.write_text("{ not json !", encoding="utf-8")
         clear_template_cache()
-        results = FoldedSweepRunner(
+        results = SweepRunner(
             FAILURE_SPEC, template_dir=str(template_dir)
         ).run()
         assert_bit_identical(reference, results)
@@ -316,6 +317,26 @@ class TestBoundedMemos:
         clear_trace_memo()
         assert not trace_mod._TRACE_MEMO
 
+    def test_trace_memo_hit_builds_no_gate(self, monkeypatch):
+        """A memo hit returns before any GateSimulator is constructed, so it
+        never redoes the gate's initial draws."""
+        clear_trace_memo()
+        model = get_model("Mixtral-8x7B")
+        first = generate_trace(model, num_iterations=1, layers=[0])
+        built = []
+        real_gate = trace_mod.GateSimulator
+
+        def counting_gate(*args, **kwargs):
+            built.append(args)
+            return real_gate(*args, **kwargs)
+
+        monkeypatch.setattr(trace_mod, "GateSimulator", counting_gate)
+        assert generate_trace(model, num_iterations=1, layers=[0]) is first
+        assert built == []
+        generate_trace(model, num_iterations=1, layers=[0], seed=1)  # a miss
+        assert len(built) == 1
+        clear_trace_memo()
+
     def test_clear_apis_are_idempotent(self):
         clear_runtime_caches()
         clear_gate_cache()
@@ -333,7 +354,7 @@ class TestPhaseProfile:
     def test_folded_results_carry_phases(self, tmp_path):
         spec = SweepSpec(fabrics=["MixNet"], models=["Mixtral-8x7B"],
                          seeds=[0, 1], num_servers=16)
-        results = FoldedSweepRunner(spec).run()
+        results = SweepRunner(spec).run()
         for result in results:
             assert result.setup_s > 0.0
             assert result.solve_s > 0.0
@@ -347,8 +368,8 @@ class TestPhaseProfile:
         spec = SweepSpec(fabrics=["MixNet"], models=["Mixtral-8x7B"],
                          seeds=[0, 1], num_servers=16)
         cache = str(tmp_path / "cache")
-        FoldedSweepRunner(spec, cache_dir=cache).run()
-        cached = FoldedSweepRunner(spec, cache_dir=cache).run()
+        SweepRunner(spec, cache_dir=cache).run()
+        cached = SweepRunner(spec, cache_dir=cache).run()
         assert all(r.from_cache for r in cached)
         summary = summarize_phases(cached)
         assert summary["num_fresh"] == 0
@@ -358,7 +379,7 @@ class TestPhaseProfile:
         clear_template_cache()
         spec = SweepSpec(fabrics=["MixNet"], models=["Mixtral-8x7B"],
                          seeds=[0], num_servers=16)
-        results = FoldedSweepRunner(spec).run()
+        results = SweepRunner(spec).run()
         lines = format_profile(results)
         assert lines[-1].startswith("template sources: ")
         assert "built=1" in lines[-1]
