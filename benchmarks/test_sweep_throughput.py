@@ -4,8 +4,8 @@ Runs an identical 16-configuration sweep (Mixtral-8x22B on Fat-tree and
 MixNet, two first-all-to-all policies, two link bandwidths, two traffic
 seeds — the Figure 12 hot path) three times: once per config through
 :func:`~repro.sweep.run_config` with the seed's pure-Python scalar rate
-solver, once the same way with the default solver stack (compiled kernel
-when a C compiler is present, incremental numpy water-filling otherwise),
+solver, once the same way with the default solver stack (the compiled kernel
+when a C compiler is present, the same scalar solver otherwise),
 and once through the folded :class:`~repro.sweep.SweepRunner` — every config
 advanced through one batched solve → next-completion → advance loop
 (DESIGN.md §6).  Timed passes repeat a few times and report the best
@@ -291,7 +291,7 @@ def test_sweep_throughput(run_once, request):
         # Water-filling work counters summed over the folded grid (PR 10):
         # solve_rounds = argmin rounds the kernel executed, rounds_replayed
         # = rounds inherited from the freeze-level record instead of
-        # re-solved — the direct evidence for the incremental mode's claim.
+        # re-solved — the direct evidence for the freeze-level replay's claim.
         "folded_counters": {
             "events": sum(r.events for r in folded_results),
             "solve_rounds": sum(r.solve_rounds for r in folded_results),
@@ -323,8 +323,8 @@ def test_sweep_throughput(run_once, request):
 
     if default_solver == "native":
         # Incremental water-filling must actually engage on the folded grid
-        # (quick mode included): with the default flags the kernel inherits
-        # rounds from the freeze-level record on every multi-event block.
+        # (quick mode included): the kernel inherits rounds from the
+        # freeze-level record on every multi-event block.
         assert sum(r.rounds_replayed for r in folded_results) > 0, (
             "incremental water-filling never replayed a round on the "
             "folded grid"
@@ -364,10 +364,10 @@ def test_sweep_throughput(run_once, request):
                 f"serial folded"
             )
     else:
-        # No C compiler in this environment: the incremental numpy solver
-        # still has to beat the seed clearly, and folding must at least not
-        # cost anything (it folds through a per-network Python loop).
-        assert speedup >= 1.2, f"sweep speedup regressed to {speedup:.2f}x"
+        # No C compiler in this environment: the default stack is the scalar
+        # solver itself, so there is no solver speedup to gate; folding must
+        # at least not cost anything (it folds through a per-network Python
+        # loop).
         assert folded_speedup >= 0.9, (
             f"folded execution slower than per-config runs: "
             f"{folded_speedup:.2f}x"

@@ -172,16 +172,18 @@ class RuntimeOptions:
         ocs_collective_efficiency: Effective fraction of line rate achieved on
             a dedicated optical circuit (a single point-to-point RDMA stream).
         seed: Seed for synthetic traffic when no trace record is supplied.
-        fluid_solver: Fluid-network rate solver (``"auto"``, ``"native"``,
-            ``"vectorized"`` or ``"scalar"``); ``None`` uses the process-wide
-            default (``"auto"`` — the compiled kernel when available).  All
-            are exact max–min solvers, so results are solver-independent —
-            the knob exists for differential testing and benchmarking.
+        fluid_solver: Fluid-network rate solver (``"auto"``, ``"native"``
+            or ``"scalar"``); ``None`` uses the process-wide default
+            (``"auto"`` — the compiled kernel when available, the scalar
+            reference otherwise).  Both are exact max–min solvers, so results
+            are solver-independent — the knob exists for differential
+            testing.
         reconfig_engine: Algorithm 1 reconfiguration engine (``"auto"``,
             ``"vectorized"`` or ``"scalar"``); ``None`` uses the process-wide
             default (``"auto"`` — the heap-driven engine).  Both engines
             produce identical allocations, so results are engine-independent —
-            the knob exists for differential testing and benchmarking.
+            the knob exists for differential testing (it is not a sweep
+            axis: sweeps use the process default).
     """
 
     first_a2a_policy: str = "block"

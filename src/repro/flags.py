@@ -59,9 +59,9 @@ def declare_flag(name: str, default: str, doc: str, reference: str) -> EnvFlag:
 declare_flag(
     "REPRO_FLUID_SOLVER",
     "",
-    "Default fluid rate solver: auto, native, vectorized or scalar "
-    "(empty = auto). All are exact; the knob exists for differential "
-    "testing and benchmarking.",
+    "Default fluid rate solver: auto, native or scalar (empty = auto, "
+    "which is native when the C kernel builds and scalar otherwise). Both "
+    "are exact; the knob exists for differential testing.",
     "DESIGN.md §2",
 )
 declare_flag(
@@ -70,23 +70,6 @@ declare_flag(
     "Default Algorithm 1 reconfiguration engine: auto, vectorized or "
     "scalar (empty = auto). Both engines produce identical allocations.",
     "DESIGN.md §5",
-)
-declare_flag(
-    "REPRO_WATERFILL_WARM_START",
-    "1",
-    "Incremental warm-start mode of the native waterfill_batch kernel "
-    "(0 disables). Bit-identical either way; exists for differential "
-    "testing.",
-    "DESIGN.md §7",
-)
-declare_flag(
-    "REPRO_WATERFILL_INCREMENTAL",
-    "1",
-    "Incremental freeze-level replay mode of the native waterfill_batch "
-    "kernel (0 falls back to warm-start). Bit-identical by construction — "
-    "the replay re-applies the recorded freeze prefix in its original "
-    "order; differential-tested against the scalar and numpy solvers.",
-    "DESIGN.md §10",
 )
 declare_flag(
     "REPRO_NATIVE_CFLAGS",

@@ -10,9 +10,9 @@ the compiler runs at most once per source revision per machine.
 
 Everything degrades gracefully: if ``cffi`` is missing, no compiler is
 available, or the build fails for any reason, :func:`native_lib` returns
-``None`` and the caller falls back to the pure-numpy solver.  No third-party
-package beyond ``cffi`` (already a CPython dependency chain staple) is
-required, and nothing is downloaded.
+``None`` and the caller falls back to the pure-Python ``scalar`` solver.  No
+third-party package beyond ``cffi`` (already a CPython dependency chain
+staple) is required, and nothing is downloaded.
 """
 
 from __future__ import annotations
@@ -119,55 +119,46 @@ static int waterfill_rounds(int f0, int num_flows, int row0, int num_rows,
     return round;
 }
 
-/* Exact max-min progressive water-filling over one block, honouring an
- * optional per-flow active mask (NULL means all active).
+/* Exact max-min progressive water-filling over one block.
  *
  * Inputs are a CSR encoding of the flow->link incidence: flow f traverses
  * rows flow_rows[flow_ptr[f] .. flow_ptr[f+1]-1] (duplicates allowed and
  * counted, like the Python reference); row indices are relative to row0.
  * caps[r] is row r's capacity in bytes/s.  rates[f] receives flow f's
  * max-min fair rate.  All arrays are indexed with *global* flow ids in
- * [f0, f0+num_flows) so batch callers can pass shared buffers.
+ * [f0, f0+num_flows).
  *
  * Rebuilds the per-row bookkeeping (counts, buckets, residual) from the
- * active flow set on every call; the warm-start path in waterfill_batch
- * maintains the same bookkeeping incrementally instead.  Scratch buffers
- * are caller-provided so the batch loop allocates exactly once per call.
- * Returns the number of water-filling rounds executed.
+ * flow set on every call; waterfill_batch maintains the same bookkeeping
+ * incrementally instead and must reproduce this solve bit for bit.
+ * Scratch buffers are caller-provided; num_flows must be positive.
  */
-static int solve_block(int f0, int num_flows, int row0, int num_rows,
+static void solve_block(int f0, int num_flows, int row0, int num_rows,
                        const int *flow_ptr, const int *flow_rows,
-                       const double *caps, const unsigned char *active,
-                       double *rates,
+                       const double *caps, double *rates,
                        double *residual, int *counts, int *row_ptr,
                        int *row_flows, int *fill, unsigned char *frozen)
 {
-    int remaining = 0;
     memset(counts, 0, (size_t)num_rows * sizeof(int));
     memset(fill, 0, (size_t)num_rows * sizeof(int));
     for (int f = f0; f < f0 + num_flows; f++) {
-        if (active && !active[f]) continue;
-        remaining++;
         frozen[f - f0] = 0;
         rates[f] = 0.0;
         for (int k = flow_ptr[f]; k < flow_ptr[f + 1]; k++)
             counts[flow_rows[k] - row0]++;
     }
-    if (remaining == 0) return 0;
     row_ptr[0] = 0;
     for (int r = 0; r < num_rows; r++) row_ptr[r + 1] = row_ptr[r] + counts[r];
     for (int f = f0; f < f0 + num_flows; f++) {
-        if (active && !active[f]) continue;
         for (int k = flow_ptr[f]; k < flow_ptr[f + 1]; k++) {
             int r = flow_rows[k] - row0;
             row_flows[row_ptr[r] + fill[r]++] = f;
         }
     }
     memcpy(residual, caps + row0, (size_t)num_rows * sizeof(double));
-    return waterfill_rounds(f0, num_flows, row0, num_rows, flow_ptr,
-                            flow_rows, active, rates, residual, counts,
-                            row_ptr, row_flows, frozen, remaining,
-                            0, NULL, NULL, NULL, 0);
+    waterfill_rounds(f0, num_flows, row0, num_rows, flow_ptr, flow_rows,
+                     NULL, rates, residual, counts, row_ptr, row_flows,
+                     frozen, num_flows, 0, NULL, NULL, NULL, 0);
 }
 
 /* One-shot solve (the per-event path).  Returns WF_OOM when scratch memory
@@ -191,7 +182,7 @@ int waterfill(int num_flows, int num_rows,
         status = WF_OOM;
         goto done;
     }
-    solve_block(0, num_flows, 0, num_rows, flow_ptr, flow_rows, caps, NULL,
+    solve_block(0, num_flows, 0, num_rows, flow_ptr, flow_rows, caps,
                 rates, residual, counts, row_ptr, row_flows, fill, frozen);
 done:
     free(residual); free(counts); free(frozen);
@@ -220,33 +211,28 @@ done:
  * steps[b] and stop_reason[b] report each block's outcome.  Returns WF_OOM
  * (without touching any block) when scratch allocation fails.
  *
- * mode selects how much solver state is carried across the events of a
- * block (every mode produces bit-identical rates; only the per-event cost
- * changes):
+ * Solver state is carried across the events of a block, and each solve
+ * produces rates bit-identical to a fresh solve_block over the active
+ * flows:
  *
- *   mode 0 (cold): rebuild counts/buckets/residual from the active set
- *     before every solve (O(nnz) per event) and run all rounds.
- *   mode 1 (warm): build the buckets once over ALL of the block's flows
- *     (retiring one never reshapes them — the rounds skip inactive
- *     entries, preserving active order), count active traversals once,
- *     and maintain the counts incrementally as flows retire; each solve
- *     then costs an O(num_rows) memcpy plus all rounds.
- *   mode 2 (incremental): additionally record the freeze structure of
- *     each solve (level_of / freeze_order / round_log) and, on the next
- *     solve, replay rounds [0, L) from the record — L being the minimum
- *     freeze level among the flows retired since — by re-applying the
- *     recorded freezes in their original order (same shares, same row
- *     updates, same clamping: the exact FP operation sequence the full
- *     solve would execute), then run rounds from L normally.  Exactness:
- *     a retired flow was unfrozen during rounds < L, so removing it
- *     leaves those rounds' residuals untouched and only lowers counts on
- *     non-bottleneck rows, which raises their shares; each earlier
- *     bottleneck's share is unchanged and still first-minimal, so rounds
- *     [0, L) of the re-solve are identical by induction (DESIGN.md §10).
+ *   The buckets are built once over ALL of the block's flows (retiring one
+ *   never reshapes them — the rounds skip inactive entries, preserving
+ *   active order), and the active traversal counts are maintained as flows
+ *   retire.  Each solve also records its freeze structure (level_of /
+ *   freeze_order / round_log); the next solve replays rounds [0, L) from
+ *   the record — L being the minimum freeze level among the flows retired
+ *   since — by re-applying the recorded freezes in their original order
+ *   (same shares, same row updates, same clamping: the exact FP operation
+ *   sequence the full solve would execute), then runs rounds from L
+ *   normally.  Exactness: a retired flow was unfrozen during rounds < L, so
+ *   removing it leaves those rounds' residuals untouched and only lowers
+ *   counts on non-bottleneck rows, which raises their shares; each earlier
+ *   bottleneck's share is unchanged and still first-minimal, so rounds
+ *   [0, L) of the re-solve are identical by induction (DESIGN.md §10).
  *
  * solve_rounds[b] receives the total rounds executed for the block,
  * rounds_replayed[b] the rounds inherited from the carried freeze record
- * instead of re-executed (always 0 for modes 0/1).
+ * instead of re-executed.
  */
 int waterfill_batch(int num_blocks,
                     const int *block_flows, const int *block_rows,
@@ -258,7 +244,7 @@ int waterfill_batch(int num_blocks,
                     double *rates, unsigned char *active,
                     int *finished, int *finished_count,
                     double *next_flow, int *steps, int *stop_reason,
-                    const int *max_steps, int mode,
+                    const int *max_steps,
                     int *solve_rounds, int *rounds_replayed)
 {
     int max_nf = 0, max_nr = 0, max_nnz = 0;
@@ -299,95 +285,72 @@ int waterfill_batch(int num_blocks,
         int recorded = 0;   /* a freeze record exists for this block */
         int min_level = 0;  /* replay start: min level among retired flows */
         next_flow[b] = INFINITY;
-        if (mode) {
-            /* Persistent block bookkeeping: buckets over every flow (so
-             * retiring one never reshapes them — the rounds skip inactive
-             * entries, preserving active order) and active-only traversal
-             * counts, maintained incrementally as flows retire below. */
-            memset(counts, 0, (size_t)nr * sizeof(int));
-            memset(base_counts, 0, (size_t)nr * sizeof(int));
-            for (int f = f0; f < f1; f++) {
-                for (int k = flow_ptr[f]; k < flow_ptr[f + 1]; k++)
-                    counts[flow_rows[k] - row0]++;
-                if (!active[f]) continue;
-                active_n++;
-                for (int k = flow_ptr[f]; k < flow_ptr[f + 1]; k++)
-                    base_counts[flow_rows[k] - row0]++;
-            }
-            row_ptr[0] = 0;
-            for (int r = 0; r < nr; r++) row_ptr[r + 1] = row_ptr[r] + counts[r];
-            memset(fill, 0, (size_t)nr * sizeof(int));
-            for (int f = f0; f < f1; f++) {
-                for (int k = flow_ptr[f]; k < flow_ptr[f + 1]; k++) {
-                    int r = flow_rows[k] - row0;
-                    row_flows[row_ptr[r] + fill[r]++] = f;
-                }
+        /* Persistent block bookkeeping: buckets over every flow (so
+         * retiring one never reshapes them — the rounds skip inactive
+         * entries, preserving active order) and active-only traversal
+         * counts, maintained incrementally as flows retire below. */
+        memset(counts, 0, (size_t)nr * sizeof(int));
+        memset(base_counts, 0, (size_t)nr * sizeof(int));
+        for (int f = f0; f < f1; f++) {
+            for (int k = flow_ptr[f]; k < flow_ptr[f + 1]; k++)
+                counts[flow_rows[k] - row0]++;
+            if (!active[f]) continue;
+            active_n++;
+            for (int k = flow_ptr[f]; k < flow_ptr[f + 1]; k++)
+                base_counts[flow_rows[k] - row0]++;
+        }
+        row_ptr[0] = 0;
+        for (int r = 0; r < nr; r++) row_ptr[r + 1] = row_ptr[r] + counts[r];
+        memset(fill, 0, (size_t)nr * sizeof(int));
+        for (int f = f0; f < f1; f++) {
+            for (int k = flow_ptr[f]; k < flow_ptr[f + 1]; k++) {
+                int r = flow_rows[k] - row0;
+                row_flows[row_ptr[r] + fill[r]++] = f;
             }
         }
         for (;;) {
-            if (mode == 2) {
-                if (active_n > 0) {
-                    int start = recorded ? min_level : 0;
-                    int prefix = start > 0 ? round_log[start] : 0;
-                    /* Reconstruct the state at the start of round `start`:
-                     * base counts (retired flows already subtracted) and
-                     * full residual, then the recorded prefix freezes in
-                     * their original order.  Prefix flows all survive —
-                     * their level is below every retired flow's. */
-                    memcpy(counts, base_counts, (size_t)nr * sizeof(int));
-                    memcpy(residual, caps + row0, (size_t)nr * sizeof(double));
-                    int unfrozen = active_n;
-                    for (int f = f0; f < f1; f++) {
-                        if (!active[f]) continue;
-                        frozen[f - f0] = 0;
-                    }
-                    for (int i = 0; i < prefix; i++) {
-                        int f = freeze_order[i];
-                        double share = rates[f];
-                        frozen[f - f0] = 1;
-                        unfrozen--;
-                        for (int j = flow_ptr[f]; j < flow_ptr[f + 1]; j++) {
-                            int r = flow_rows[j] - row0;
-                            double v = residual[r] - share;
-                            residual[r] = v > 0.0 ? v : 0.0;
-                            counts[r]--;
-                        }
-                    }
-                    for (int f = f0; f < f1; f++) {
-                        if (!active[f] || frozen[f - f0]) continue;
-                        rates[f] = 0.0;
-                    }
-                    int total = waterfill_rounds(f0, f1 - f0, row0, nr,
-                                                 flow_ptr, flow_rows, active,
-                                                 rates, residual, counts,
-                                                 row_ptr, row_flows, frozen,
-                                                 unfrozen, start, level_of,
-                                                 freeze_order, round_log,
-                                                 prefix);
-                    exec_rounds += total - start;
-                    inherited_rounds += start;
-                    recorded = 1;
-                    min_level = total;
+            if (active_n > 0) {
+                int start = recorded ? min_level : 0;
+                int prefix = start > 0 ? round_log[start] : 0;
+                /* Reconstruct the state at the start of round `start`:
+                 * base counts (retired flows already subtracted) and
+                 * full residual, then the recorded prefix freezes in
+                 * their original order.  Prefix flows all survive —
+                 * their level is below every retired flow's. */
+                memcpy(counts, base_counts, (size_t)nr * sizeof(int));
+                memcpy(residual, caps + row0, (size_t)nr * sizeof(double));
+                int unfrozen = active_n;
+                for (int f = f0; f < f1; f++) {
+                    if (!active[f]) continue;
+                    frozen[f - f0] = 0;
                 }
-            } else if (mode == 1) {
-                if (active_n > 0) {
-                    memcpy(counts, base_counts, (size_t)nr * sizeof(int));
-                    memcpy(residual, caps + row0, (size_t)nr * sizeof(double));
-                    for (int f = f0; f < f1; f++) {
-                        if (!active[f]) continue;
-                        frozen[f - f0] = 0;
-                        rates[f] = 0.0;
+                for (int i = 0; i < prefix; i++) {
+                    int f = freeze_order[i];
+                    double share = rates[f];
+                    frozen[f - f0] = 1;
+                    unfrozen--;
+                    for (int j = flow_ptr[f]; j < flow_ptr[f + 1]; j++) {
+                        int r = flow_rows[j] - row0;
+                        double v = residual[r] - share;
+                        residual[r] = v > 0.0 ? v : 0.0;
+                        counts[r]--;
                     }
-                    exec_rounds += waterfill_rounds(
-                        f0, f1 - f0, row0, nr, flow_ptr, flow_rows, active,
-                        rates, residual, counts, row_ptr, row_flows, frozen,
-                        active_n, 0, NULL, NULL, NULL, 0);
                 }
-            } else {
-                exec_rounds += solve_block(
-                    f0, f1 - f0, row0, nr, flow_ptr, flow_rows, caps,
-                    active, rates, residual, counts, row_ptr, row_flows,
-                    fill, frozen);
+                for (int f = f0; f < f1; f++) {
+                    if (!active[f] || frozen[f - f0]) continue;
+                    rates[f] = 0.0;
+                }
+                int total = waterfill_rounds(f0, f1 - f0, row0, nr,
+                                             flow_ptr, flow_rows, active,
+                                             rates, residual, counts,
+                                             row_ptr, row_flows, frozen,
+                                             unfrozen, start, level_of,
+                                             freeze_order, round_log,
+                                             prefix);
+                exec_rounds += total - start;
+                inherited_rounds += start;
+                recorded = 1;
+                min_level = total;
             }
             /* Earliest completion: strict < keeps the first flow on exact
              * ties, like the Python dict scan. */
@@ -419,12 +382,10 @@ int waterfill_batch(int num_blocks,
                 if (remaining[f] <= threshold[f]) {
                     finished[f0 + fcount++] = f;
                     active[f] = 0;
-                    if (mode) {
-                        active_n--;
-                        for (int j = flow_ptr[f]; j < flow_ptr[f + 1]; j++)
-                            base_counts[flow_rows[j] - row0]--;
-                    }
-                    if (mode == 2 && level_of[f - f0] < min_level)
+                    active_n--;
+                    for (int j = flow_ptr[f]; j < flow_ptr[f + 1]; j++)
+                        base_counts[flow_rows[j] - row0]--;
+                    if (level_of[f - f0] < min_level)
                         min_level = level_of[f - f0];
                     int g = group_of[f];
                     if (g >= 0 && --group_left[g] == 0) group_done = 1;
@@ -463,7 +424,7 @@ int waterfill_batch(int num_blocks,
                     double *rates, unsigned char *active,
                     int *finished, int *finished_count,
                     double *next_flow, int *steps, int *stop_reason,
-                    const int *max_steps, int mode,
+                    const int *max_steps,
                     int *solve_rounds, int *rounds_replayed);
 """
 

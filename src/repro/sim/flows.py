@@ -7,37 +7,36 @@ max–min fairly (progressive water-filling).  The event-driven executor asks
 the network for the time until the next flow completes and advances all flows
 by that amount, which yields exact fluid-model completion times.
 
-Three interchangeable, *exact* rate solvers are provided (see DESIGN.md §2):
+Two interchangeable, *exact* rate solvers are provided (see DESIGN.md §2):
 
-* ``"scalar"`` — the original pure-Python reference implementation, kept for
-  differential testing (``tests/test_sim_flows_properties.py`` asserts every
-  solver agrees with it to 1e-9 on randomised topologies).  It rebuilds the
-  link bookkeeping from the flow set on every solve.
-* ``"vectorized"`` — maintains the flow×link incidence structure
+* ``"native"`` — a small compiled C kernel (:mod:`repro.sim._native`) fed the
+  flow×link incidence as CSR arrays.  The arrays are maintained
   *incrementally* (adding or removing one flow touches only that flow's
-  links) and solves over it: below :data:`DENSE_ROUND_THRESHOLD` active flows
-  the bottleneck sequence is driven by a lazily-invalidated share heap with
-  exact-tie draining, above it by numpy water-filling rounds over the dense
-  incidence matrix.
-* ``"native"`` — the same incremental structures feeding a small compiled C
-  kernel (:mod:`repro.sim._native`) when a compiler is available; silently
-  falls back to ``"vectorized"`` otherwise.
+  links), and the folded advance (:func:`service_advance_requests`) runs the
+  whole solve → next-completion → advance loop of many networks in one
+  kernel call.
+* ``"scalar"`` — the pure-Python reference implementation.  It rebuilds the
+  link bookkeeping from the flow set on every solve; it is the oracle of the
+  differential tests (``tests/test_sim_flows_properties.py`` asserts the
+  kernel agrees with it to 1e-9 on randomised topologies) and the fallback
+  when no C compiler is available.
 
 ``"auto"`` (the default) resolves to ``"native"`` when the kernel is
-available and ``"vectorized"`` otherwise.  Select per network with
-``FluidNetwork(region, solver=...)``, per run with
-``RuntimeOptions(fluid_solver=...)``, or process-wide via
-:func:`set_default_solver` / the ``REPRO_FLUID_SOLVER`` environment variable.
+available and ``"scalar"`` otherwise; so does an explicit ``"native"``, and a
+native network whose kernel later fails to load or to allocate demotes itself
+to ``"scalar"``.  Select per network with ``FluidNetwork(region,
+solver=...)``, per run with ``RuntimeOptions(fluid_solver=...)``, or
+process-wide via :func:`set_default_solver` / the ``REPRO_FLUID_SOLVER``
+environment variable.
 
 Note on capacity changes: the scalar solver re-reads link capacities from the
-region on every solve; the incremental solvers cache them and refresh on
+region on every solve; the native solver caches them and refreshes on
 :meth:`FluidNetwork.mark_topology_changed` (which all in-tree capacity
 mutations already trigger, e.g. the executor after reconfiguration callbacks).
 """
 
 from __future__ import annotations
 
-import heapq
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -45,66 +44,17 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.fabric.base import GBPS_TO_BYTES_PER_S, RegionNetwork
-from repro.flags import read_flag
 from repro.selection import ImplementationSelector
 
 #: Accepted solver names (``"auto"`` resolves at construction time).
-SOLVERS = ("auto", "native", "vectorized", "scalar")
-
-#: Active-flow count at which the vectorized solver switches from heap-ordered
-#: to dense-matrix water-filling rounds.
-DENSE_ROUND_THRESHOLD = 512
-
-#: Process-wide override for the native kernel's incremental warm-start mode
-#: (``None`` defers to the ``REPRO_WATERFILL_WARM_START`` environment
-#: variable, which defaults to enabled).  The mode is bit-identical to the
-#: from-scratch solve — it carries each block's water-filling bookkeeping
-#: across the solve → advance loop instead of rebuilding it per event — so
-#: the switch exists for differential testing, not for result exploration.
-_WARM_START_OVERRIDE: Optional[bool] = None
-
-
-def warm_start_enabled() -> bool:
-    """Whether ``waterfill_batch`` runs in incremental warm-start mode."""
-    if _WARM_START_OVERRIDE is not None:
-        return _WARM_START_OVERRIDE
-    return read_flag("REPRO_WATERFILL_WARM_START") != "0"
-
-
-def set_warm_start(enabled: Optional[bool]) -> None:
-    """Override warm-start mode process-wide (``None`` resets to the env)."""
-    global _WARM_START_OVERRIDE
-    _WARM_START_OVERRIDE = enabled
-
-
-#: Process-wide override for the native kernel's incremental freeze-level
-#: replay mode (``None`` defers to ``REPRO_WATERFILL_INCREMENTAL``, default
-#: enabled).  The mode carries each block's freeze structure across events
-#: and replays only the rounds whose membership a retirement changed; the
-#: replay re-applies the recorded prefix in its original operation order, so
-#: results are bit-identical to a full solve (DESIGN.md §10).  Like the
-#: warm-start switch it exists for differential testing, not exploration.
-_INCREMENTAL_OVERRIDE: Optional[bool] = None
-
-
-def incremental_enabled() -> bool:
-    """Whether ``waterfill_batch`` runs in incremental freeze-replay mode."""
-    if _INCREMENTAL_OVERRIDE is not None:
-        return _INCREMENTAL_OVERRIDE
-    return read_flag("REPRO_WATERFILL_INCREMENTAL") != "0"
-
-
-def set_incremental(enabled: Optional[bool]) -> None:
-    """Override incremental mode process-wide (``None`` resets to the env)."""
-    global _INCREMENTAL_OVERRIDE
-    _INCREMENTAL_OVERRIDE = enabled
+SOLVERS = ("auto", "native", "scalar")
 
 
 def _resolve_solver_impl(solver: str) -> str:
     if solver in ("auto", "native"):
         from repro.sim._native import native_available
 
-        return "native" if native_available() else "vectorized"
+        return "native" if native_available() else "scalar"
     return solver
 
 
@@ -237,8 +187,6 @@ class FluidNetwork:
         self._cap_list: List[float] = []        # bytes/s per row
         self._cap_arr = np.zeros(0)             # numpy mirror for the kernel
         self._capacity_dirty = True
-        self._row_flows: List[List[Flow]] = []  # row -> active flows crossing it
-        self._count_list: List[int] = []        # row -> active traversal count
         self._path_rows: Dict[str, List[int]] = {}
         # Paths repeat heavily across tasks (the same server pairs talk every
         # layer); rows are assigned once per link and never reassigned, so
@@ -249,11 +197,6 @@ class FluidNetwork:
         # path list per (src, dst, route), making this an O(1) int lookup on
         # the hottest add_flows path.
         self._rows_of_path: Dict[int, Tuple[List[str], List[int]]] = {}
-        # The native kernel consumes only the CSR arrays, so per-flow upkeep
-        # of the row->flows lists is wasted work there; they are rebuilt on
-        # demand (_ensure_row_flows) if the network ever degrades to a Python
-        # solver.
-        self._maintains_row_flows = self.solver != "native"
         # Native-kernel scratch: CSR buffers are persistent and only refilled
         # when the flow set changes; cffi pointers are cached per allocation.
         self._native_loaded = None
@@ -278,8 +221,6 @@ class FluidNetwork:
         self._link_row[link_id] = row
         self._link_ids.append(link_id)
         self._cap_list.append(0.0)
-        self._row_flows.append([])
-        self._count_list.append(0)
         self._capacity_dirty = True
         return row
 
@@ -350,12 +291,9 @@ class FluidNetwork:
             self._flow_group[flow.flow_id] = group
             self._group_left[group] = self._group_left.get(group, 0) + 1
         if self.solver != "scalar":
-            rows = [self._row_for(link_id) for link_id in flow.path]
-            self._path_rows[flow.flow_id] = rows
-            if self._maintains_row_flows:
-                for row in rows:
-                    self._row_flows[row].append(flow)
-                    self._count_list[row] += 1
+            self._path_rows[flow.flow_id] = [
+                self._row_for(link_id) for link_id in flow.path
+            ]
             self._csr_valid = False
         self._rem_synced = False
         self._rates_dirty = True
@@ -401,9 +339,6 @@ class FluidNetwork:
         else:
             link_row = self._link_row
             path_rows = self._path_rows
-            maintains = self._maintains_row_flows
-            row_flows = self._row_flows
-            count_list = self._count_list
             rows_of_path = self._rows_of_path
             row_of = link_row.get
             # Fused CSR construction: in the dominant pattern the network is
@@ -415,10 +350,7 @@ class FluidNetwork:
             # (Gated on a loaded kernel: _ensure_native_buffers needs its ffi,
             # and a network that never reaches the native solver never needs
             # CSR arrays at all.)
-            fuse_csr = (
-                not maintains and not flow_map
-                and self._native_loaded is not None
-            )
+            fuse_csr = not flow_map and self._native_loaded is not None
             flow_rows: List[int] = []
             flow_ptr: List[int] = [0]
             # Bulk-register ids first (two C-speed dict ops instead of a
@@ -453,11 +385,7 @@ class FluidNetwork:
                 else:
                     rows = entry[1]
                 rows_list.append(rows)
-                if maintains:
-                    for row in rows:
-                        row_flows[row].append(flow)
-                        count_list[row] += 1
-                elif fuse_csr:
+                if fuse_csr:
                     flow_rows.extend(rows)
                     flow_ptr.append(len(flow_rows))
             path_rows.update(zip(flow_ids, rows_list))
@@ -523,33 +451,9 @@ class FluidNetwork:
         return flow
 
     def _forget_flow(self, flow: Flow) -> None:
-        rows = self._path_rows.pop(flow.flow_id)
-        if self._maintains_row_flows:
-            for row in rows:
-                self._row_flows[row].remove(flow)
-                self._count_list[row] -= 1
+        self._path_rows.pop(flow.flow_id)
         self._csr_valid = False
         self._rem_synced = False
-
-    def _ensure_row_flows(self) -> None:
-        """Rebuild the row->flows lists after running without their upkeep.
-
-        Rebuilding iterates flows in insertion order and each flow's rows in
-        path order — exactly the order incremental maintenance would have
-        produced (``list.remove`` preserves relative order), so the heap
-        solver's registration-order tie-breaking is unaffected.
-        """
-        if self._maintains_row_flows:
-            return
-        row_flows: List[List[Flow]] = [[] for _ in self._link_ids]
-        counts = [0] * len(self._link_ids)
-        for flow in self._flows.values():
-            for row in self._path_rows[flow.flow_id]:
-                row_flows[row].append(flow)
-                counts[row] += 1
-        self._row_flows = row_flows
-        self._count_list = counts
-        self._maintains_row_flows = True
 
     def _release_group(self, flow_id: str) -> None:
         group = self._flow_group.pop(flow_id, None)
@@ -581,149 +485,13 @@ class FluidNetwork:
     def compute_rates(self) -> None:
         """Max–min fair allocation; updates every flow's ``rate``."""
         self._sync_flow_attrs()
-        if self.solver == "scalar":
-            self._compute_rates_scalar()
-        else:
+        if self.solver == "native":
             if self._capacity_dirty:
                 self._refresh_capacities()
-            if self.solver == "native":
-                self._solve_native()
-            else:
-                self._solve_python()
-        self._rates_dirty = False
-
-    def _solve_python(self) -> None:
-        if len(self._flows) >= DENSE_ROUND_THRESHOLD:
-            self._solve_rounds_dense()
+            self._solve_native()
         else:
-            self._solve_rounds_heap()
-
-    def _solve_rounds_heap(self) -> None:
-        """Progressive water-filling with a heap-ordered bottleneck sequence.
-
-        Each round pops the link with the smallest residual fair share,
-        freezes every unfrozen flow crossing it at that share, drains any
-        *exactly* tied links that the freeze left untouched (their shares are
-        provably still minimal), and finally pushes one refreshed entry per
-        touched link.  Stale heap entries are invalidated lazily via per-link
-        version counters.  Initial entries share version 0, so first-round
-        ties break on row index — link-registration order, like the scalar
-        reference's dict scan.
-        """
-        flows = self._flows
-        for flow in flows.values():
-            flow.rate = 0.0
-        if not flows:
-            return
-        counts = self._count_list.copy()
-        residual = self._cap_list.copy()
-        num_rows = len(counts)
-        version = [0] * num_rows
-        row_flows = self._row_flows
-        path_rows = self._path_rows
-        heap = [
-            (residual[row] / counts[row], 0, row)
-            for row in range(num_rows)
-            if counts[row] > 0
-        ]
-        heapq.heapify(heap)
-        unfrozen = set(flows)
-        touched: List[int] = []
-        touched_flag = bytearray(num_rows)
-        pop = heapq.heappop
-        push = heapq.heappush
-
-        def freeze_link(row: int, share: float) -> None:
-            for flow in row_flows[row]:
-                flow_id = flow.flow_id
-                if flow_id not in unfrozen:
-                    continue
-                flow.rate = share
-                unfrozen.discard(flow_id)
-                for touched_row in path_rows[flow_id]:
-                    value = residual[touched_row] - share
-                    residual[touched_row] = value if value > 0.0 else 0.0
-                    counts[touched_row] -= 1
-                    version[touched_row] += 1
-                    if not touched_flag[touched_row]:
-                        touched_flag[touched_row] = 1
-                        touched.append(touched_row)
-
-        while unfrozen:
-            while heap:
-                share, entry_version, row = pop(heap)
-                if entry_version == version[row] and counts[row] > 0:
-                    break
-            else:
-                # No remaining constraints: unconstrained flows get "infinite"
-                # rate; in practice every path has at least one finite link.
-                for flow_id in unfrozen:
-                    flows[flow_id].rate = float("inf")
-                break
-            if share < 0.0:
-                share = 0.0
-            freeze_link(row, share)
-            # Exact ties whose links the freeze did not touch still hold the
-            # minimal share (shares of touched links can only grow), so they
-            # can be drained in the same round; touched links' entries are
-            # stale by version and skipped.
-            while heap and heap[0][0] == share:
-                _, entry_version, tied_row = pop(heap)
-                if entry_version == version[tied_row] and counts[tied_row] > 0:
-                    freeze_link(tied_row, share)
-            for touched_row in touched:
-                touched_flag[touched_row] = 0
-                if counts[touched_row] > 0:
-                    push(
-                        heap,
-                        (
-                            residual[touched_row] / counts[touched_row],
-                            version[touched_row],
-                            touched_row,
-                        ),
-                    )
-            touched.clear()
-
-    def _solve_rounds_dense(self) -> None:
-        """Progressive water-filling as numpy rounds over the dense incidence
-        matrix — the profitable formulation once enough flows are active."""
-        flows = list(self._flows.values())
-        for flow in flows:
-            flow.rate = 0.0
-        if not flows:
-            return
-        num_rows = len(self._link_ids)
-        num_flows = len(flows)
-        row_index: List[int] = []
-        col_index: List[int] = []
-        for compact, flow in enumerate(flows):
-            for row in self._path_rows[flow.flow_id]:
-                row_index.append(row)
-                col_index.append(compact)
-        incidence = np.zeros((num_rows, num_flows))
-        np.add.at(incidence, (row_index, col_index), 1.0)
-        residual = self._cap_arr.copy()
-        rates = np.zeros(num_flows)
-        unfrozen = np.ones(num_flows, dtype=bool)
-        counts = incidence.sum(axis=1)
-        while unfrozen.any():
-            carrying = counts > 0.0
-            if not carrying.any():
-                rates[unfrozen] = np.inf
-                break
-            shares = np.full(num_rows, np.inf)
-            np.divide(residual, counts, out=shares, where=carrying)
-            bottleneck = int(np.argmin(shares))
-            share = max(0.0, float(shares[bottleneck]))
-            freeze = unfrozen & (incidence[bottleneck] > 0.0)
-            rates[freeze] = share
-            unfrozen &= ~freeze
-            frozen_counts = incidence[:, np.nonzero(freeze)[0]].sum(axis=1)
-            residual -= share * frozen_counts
-            np.maximum(residual, 0.0, out=residual)
-            counts -= frozen_counts
-        for flow, rate in zip(flows, rates.tolist()):
-            flow.rate = rate
+            self._compute_rates_scalar()
+        self._rates_dirty = False
 
     def _ensure_native_buffers(self, num_flows: int, nnz: int) -> None:
         """Grow the persistent CSR buffers, preserving their contents.
@@ -758,7 +526,7 @@ class FluidNetwork:
             self._active_buf = grown
 
     def _native_ready(self) -> bool:
-        """Lazily load the C kernel; degrade to ``vectorized`` if unavailable."""
+        """Lazily load the C kernel; degrade to ``scalar`` if unavailable."""
         if self.solver != "native":
             return False
         if self._native_loaded is None:
@@ -767,8 +535,7 @@ class FluidNetwork:
             self._native_loaded = native_lib()
             if self._native_loaded is None:
                 # Compiler/kernel unavailable after all; degrade gracefully.
-                self.solver = "vectorized"
-                self._ensure_row_flows()
+                self.solver = "scalar"
                 return False
         return True
 
@@ -776,18 +543,17 @@ class FluidNetwork:
         """The C kernel reported scratch-allocation failure (WF_OOM).
 
         Its rates are zeroed, not valid — previously this surfaced much later
-        as an inexplicable executor "deadlock".  Demote to the Python solver
+        as an inexplicable executor "deadlock".  Demote to the scalar solver
         (the allocation would just fail again) and solve with it.
         """
         warnings.warn(
             f"native fluid kernel ({entry_point}) could not allocate scratch "
-            f"memory; falling back to the Python rate solver",
+            f"memory; falling back to the scalar rate solver",
             RuntimeWarning,
             stacklevel=3,
         )
-        self.solver = "vectorized"
-        self._ensure_row_flows()
-        self._solve_python()
+        self.solver = "scalar"
+        self._compute_rates_scalar()
 
     def _rebuild_csr(self) -> None:
         """Refill the persistent CSR buffers from the current flow set."""
@@ -837,7 +603,7 @@ class FluidNetwork:
     def _solve_native(self) -> None:
         """Feed the incremental incidence (as CSR arrays) to the C kernel."""
         if not self._native_ready():
-            self._solve_python()
+            self._compute_rates_scalar()
             return
         lib, ffi = self._native_loaded
         if not self._flows:
@@ -1008,9 +774,9 @@ class FlowAdvanceOutcome:
         solve_rounds: Water-filling rounds the native kernel executed for
             this network (0 on the Python paths — a solver-cost counter, not
             part of the simulation result).
-        rounds_replayed: Rounds the incremental mode inherited from the
-            carried freeze record instead of re-executing (0 unless
-            ``incremental_enabled()`` and the native kernel ran).
+        rounds_replayed: Rounds the native kernel inherited from the
+            carried freeze record instead of re-executing (0 on the Python
+            paths).
     """
 
     now: float
@@ -1252,12 +1018,6 @@ def _advance_native_batch(
     solve_rounds = scratch.get("solve_rounds", num_blocks, np.int32)
     rounds_replayed = scratch.get("rounds_replayed", num_blocks, np.int32)
 
-    if incremental_enabled():
-        mode = 2
-    elif warm_start_enabled():
-        mode = 1
-    else:
-        mode = 0
     status = lib.waterfill_batch(
         num_blocks,
         scratch.ptr(ffi, "block_flows", "const int *"),
@@ -1279,7 +1039,6 @@ def _advance_native_batch(
         scratch.ptr(ffi, "steps", "int *"),
         scratch.ptr(ffi, "stop_reason", "int *"),
         scratch.ptr(ffi, "max_steps", "const int *"),
-        mode,
         scratch.ptr(ffi, "solve_rounds", "int *"),
         scratch.ptr(ffi, "rounds_replayed", "int *"),
     )
@@ -1315,8 +1074,7 @@ def _advance_native_batch(
         if retired:
             # Retired flows keep their CSR positions (masked inactive) so
             # the block's layout survives into the next round without a
-            # rebuild; _path_rows upkeep is what _forget_flow would do (the
-            # native solver never maintains the row->flows lists).
+            # rebuild; _path_rows upkeep is what _forget_flow would do.
             network._active_buf[:count] = active[base : base + count]
             network._csr_inactive += retired
             network_flows = network._flows

@@ -6,8 +6,7 @@ that grid into first-class objects:
 
 * :class:`SweepSpec` — a declarative cartesian grid over fabrics, models,
   first-all-to-all policies, reconfiguration delays, failure scenarios, link
-  bandwidths, seeds and Algorithm 1 reconfiguration engines, expanded into
-  concrete :class:`SweepConfig` records;
+  bandwidths and seeds, expanded into concrete :class:`SweepConfig` records;
 * :class:`SweepConfig` — one fully-specified simulation, JSON-serializable
   and content-hashed so results can be cached and reproduced;
 * :class:`SweepRunner` — batches structurally-compatible configs through

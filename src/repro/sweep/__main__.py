@@ -21,7 +21,6 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.core.reconfigure import ENGINES
 from repro.core.runtime import FIRST_A2A_POLICIES
 from repro.sim.flows import SOLVERS
 from repro.sweep.registry import FABRIC_BUILDERS, SWEEP_MODELS
@@ -73,11 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--solver", choices=list(SOLVERS), default=None,
                         help="fluid rate solver override (default: auto — the "
                              "compiled native kernel when a C compiler is "
-                             "present, the numpy vectorized solver otherwise)")
-    parser.add_argument("--reconfig-engines", nargs="+", default=["auto"],
-                        choices=list(ENGINES), metavar="ENGINE",
-                        help=f"Algorithm 1 reconfiguration engines to sweep "
-                             f"{ENGINES} (default: auto — the heap engine)")
+                             "present, the pure-Python scalar solver otherwise)")
     parser.add_argument("--output", default=None,
                         help="write results as JSON to this file (default: stdout summary only)")
     parser.add_argument("--dry-run", action="store_true",
@@ -109,7 +104,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         num_servers=args.servers,
         ocs_nics=args.ocs_nics,
         seeds=args.seeds,
-        reconfig_engines=args.reconfig_engines,
     )
     try:
         configs = spec.expand()

@@ -31,7 +31,7 @@ from repro.fabric.base import Fabric
 from repro.moe.models import MoEModelConfig
 from repro.moe.trace import IterationRecord
 from repro.sim.executor import Executor
-from repro.sim.flows import service_advance_requests
+from repro.sim.flows import SOLVERS, service_advance_requests
 from repro.sweep.phases import PhaseAccumulator, phase_clock
 from repro.sweep.pool import ACK, DONE, TASK_ERROR, PersistentWorkerPool
 from repro.sweep.registry import build_fabric, parse_failure, resolve_model
@@ -90,13 +90,17 @@ class SweepResult:
     from_cache: bool = False
     #: Executor observability (DESIGN.md §10): events consumed by the
     #: event loop; water-filling rounds executed vs. inherited from the
-    #: incremental kernel's freeze record.  ``events`` is path-independent
+    #: batch kernel's freeze record.  ``events`` is path-independent
     #: (folded runs and :func:`run_config` consume identical event counts);
-    #: the round counters are mode-dependent observability and stay 0 outside
+    #: the round counters are path-dependent observability and stay 0 outside
     #: the folded native-batch path.
     events: int = 0
     solve_rounds: int = 0
     rounds_replayed: int = 0
+    #: Why this configuration left the fold for :func:`run_config`, as
+    #: ``"<ExcType>: <message>"`` of the exception the folded path raised;
+    #: empty when it ran folded (or was computed by ``run_config`` directly).
+    fallback: str = ""
 
     @classmethod
     def from_iteration(
@@ -176,17 +180,14 @@ def _materialise(
         ocs_nics=config.ocs_nics,
     )
     fabric = build_fabric(config.fabric, cluster)
-    # "auto" defers to the process-wide default (REPRO_RECONFIG_ENGINE /
-    # set_default_engine), mirroring how fluid_solver=None defers — so e.g.
-    # the CI scalar-oracle leg reaches the sweep path too.  An explicit
-    # engine in the config pins it.
-    engine = None if config.reconfig_engine == "auto" else config.reconfig_engine
+    # The Algorithm 1 engine is left to the process-wide default
+    # (REPRO_RECONFIG_ENGINE / set_default_engine), so e.g. the CI
+    # scalar-oracle leg reaches the sweep path too.
     options = RuntimeOptions(
         first_a2a_policy=config.first_a2a_policy,
         reconfiguration_delay_s=config.reconfiguration_delay_s,
         seed=config.seed,
         fluid_solver=solver,
-        reconfig_engine=engine,
     )
     return model, cluster, fabric, options
 
@@ -355,7 +356,8 @@ class SweepRunner:
     the runner as a context manager, or call :meth:`close`, to release them;
     an abandoned runner's workers are daemonic and die with the process.
 
-    A configuration whose generator raises falls back to :func:`run_config`;
+    A configuration whose generator raises falls back to :func:`run_config`,
+    and its result records the exception in :attr:`SweepResult.fallback`;
     only if that also fails is a :class:`SweepError` recorded (and raised as
     :class:`SweepRunError` after the rest complete).
 
@@ -365,9 +367,10 @@ class SweepRunner:
         workers: Worker processes; ``0`` or ``1`` folds inline (no pool).
         cache_dir: Directory for per-configuration result JSON keyed by the
             config hash; ``None`` disables caching.
-        solver: Fluid-solver override forwarded to every run (``None`` keeps
-            the process default); the native kernel folds in C, other
-            solvers fold through an equivalent per-network Python loop.
+        solver: Fluid-solver override forwarded to every run, one of
+            :data:`repro.sim.flows.SOLVERS` (``None`` keeps the process
+            default); the native kernel folds in C, the scalar solver folds
+            through an equivalent per-network Python loop.
         fold_width: Maximum configurations folded into one batch (per worker
             when sharded).
         template_dir: Directory of the on-disk
@@ -391,6 +394,8 @@ class SweepRunner:
             raise ValueError("workers must be non-negative")
         if fold_width < 1:
             raise ValueError("fold_width must be positive")
+        if solver is not None and solver not in SOLVERS:
+            raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
         self.configs: List[SweepConfig] = (
             sweep.expand() if isinstance(sweep, SweepSpec) else list(sweep)
         )
@@ -589,8 +594,8 @@ class SweepRunner:
                         config_hash=hashes[index],
                         template=template,
                     )
-                except Exception:  # noqa: BLE001 — straggler leaves the fold
-                    self._run_unfolded(index, hashes, results, errors)
+                except Exception as exc:  # noqa: BLE001 — straggler leaves the fold
+                    self._run_unfolded(index, hashes, results, errors, exc)
                     continue
                 source_of[index] = source
                 phases_of[index] = PhaseAccumulator()
@@ -646,8 +651,8 @@ class SweepRunner:
                 request = generator.send(outcome)
         except StopIteration as stop:
             finished, value = True, stop.value
-        except Exception:  # noqa: BLE001 — straggler leaves the fold
-            self._run_unfolded(index, hashes, results, errors)
+        except Exception as exc:  # noqa: BLE001 — straggler leaves the fold
+            self._run_unfolded(index, hashes, results, errors, exc)
             return
         else:
             finished, value = False, request
@@ -665,8 +670,12 @@ class SweepRunner:
         else:
             live.append((index, generator, value))
 
-    def _run_unfolded(self, index, hashes, results, errors):
-        """Per-config fallback for stragglers that cannot run folded."""
+    def _run_unfolded(self, index, hashes, results, errors, cause):
+        """Per-config fallback for stragglers that cannot run folded.
+
+        ``cause`` is the exception that took the config off the folded
+        path; a successful fallback records it on the result.
+        """
         config = self.configs[index]
         try:
             result = run_config(
@@ -679,6 +688,7 @@ class SweepRunner:
                 error=f"{type(exc).__name__}: {exc}",
             )
         else:
+            result.fallback = f"{type(cause).__name__}: {cause}"
             self._record(index, result, results)
 
     # ------------------------------------------------------ parallel driving

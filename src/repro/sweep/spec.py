@@ -14,14 +14,15 @@ import itertools
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.reconfigure import resolve_engine
 from repro.core.runtime import FIRST_A2A_POLICIES
 from repro.moe.parallelism import minimal_world_size
 from repro.sweep.registry import FABRIC_BUILDERS, parse_failure, resolve_model
 
 #: Bumped whenever the meaning of a config field (and therefore the validity
-#: of cached results) changes.  v2: added the ``reconfig_engine`` axis.
-CONFIG_SCHEMA_VERSION = 2
+#: of cached results) changes.  v2: added the ``reconfig_engine`` axis; v3:
+#: removed it again (the engines are identical by contract, so the axis could
+#: not change a result).
+CONFIG_SCHEMA_VERSION = 3
 
 #: GPUs per server of the §7.1 simulation cluster (``simulation_cluster``).
 _GPUS_PER_SERVER = 8
@@ -45,7 +46,6 @@ class SweepConfig:
     num_servers: int = 16
     ocs_nics: int = 6
     seed: int = 0
-    reconfig_engine: str = "auto"
 
     def __post_init__(self) -> None:
         if self.fabric not in FABRIC_BUILDERS:
@@ -63,7 +63,6 @@ class SweepConfig:
             raise ValueError("num_servers must be positive")
         if self.nic_bandwidth_gbps <= 0:
             raise ValueError("nic_bandwidth_gbps must be positive")
-        resolve_engine(self.reconfig_engine)  # raises ValueError on unknown engines
 
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -88,14 +87,14 @@ class SweepConfig:
         simulations — same fabric shape, model, policy and failure scenario —
         and can therefore be folded into one block-diagonal batch
         (:class:`repro.sweep.runner.SweepRunner`).  The remaining axes
-        (bandwidths, seeds, delays, reconfiguration engines) only change link
-        capacities, flow sizes and task durations, which fold freely.
+        (bandwidths, seeds, delays) only change link capacities, flow sizes
+        and task durations, which fold freely.
 
         The key is also the identity of a
         :class:`~repro.sweep.template.StructuralTemplate`: one template per
         key caches the parameter-independent artifacts every member shares,
         and memos inside the template re-key themselves by whichever stamped
-        axes (seed, bandwidth, engine, delay) they additionally depend on —
+        axes (seed, bandwidth, delay) they additionally depend on —
         so changing this key's definition invalidates both the fold grouping
         and the template cache consistently.
         """
@@ -142,10 +141,6 @@ class SweepSpec:
             floor is raised to the model's minimal TP×PP×EP world size.
         ocs_nics: Optical NICs per server.
         seeds: Synthetic-traffic seeds (one config per seed).
-        reconfig_engines: Algorithm 1 engines to sweep
-            (:data:`repro.core.reconfigure.ENGINES`); engines produce
-            identical allocations, so this axis exists for differential
-            testing and benchmarking, not for result exploration.
         auto_fit_servers: Grow ``num_servers`` per model so its default
             parallelism plan fits the cluster.
     """
@@ -159,7 +154,6 @@ class SweepSpec:
     num_servers: int = 16
     ocs_nics: int = 6
     seeds: Sequence[int] = (0,)
-    reconfig_engines: Sequence[str] = ("auto",)
     auto_fit_servers: bool = True
 
     def servers_for(self, model_name: str) -> int:
@@ -181,9 +175,8 @@ class SweepSpec:
                 num_servers=self.servers_for(model),
                 ocs_nics=self.ocs_nics,
                 seed=seed,
-                reconfig_engine=engine,
             )
-            for model, fabric, policy, delay, failure, bandwidth, seed, engine in itertools.product(
+            for model, fabric, policy, delay, failure, bandwidth, seed in itertools.product(
                 self.models,
                 self.fabrics,
                 self.first_a2a_policies,
@@ -191,7 +184,6 @@ class SweepSpec:
                 self.failures,
                 self.nic_bandwidths_gbps,
                 self.seeds,
-                self.reconfig_engines,
             )
         ]
         hashes = {config.config_hash() for config in configs}

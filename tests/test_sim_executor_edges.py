@@ -136,7 +136,7 @@ class TestDeterminism:
         assert first.task_finish_times == second.task_finish_times
         assert first.makespan == second.makespan
 
-    @pytest.mark.parametrize("solver", ["scalar", "vectorized", "native"])
+    @pytest.mark.parametrize("solver", ["scalar", "native"])
     def test_solvers_agree_on_execution(self, solver):
         graph_spec = [
             (0.7e9, 0.4e9),

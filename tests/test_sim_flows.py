@@ -142,20 +142,15 @@ class TestHelpers:
 
 
 class TestDenseRoundBoundary:
-    """Cross-solver differential at the heap->dense switchover.
-
-    The vectorized solver drives the bottleneck sequence with a share heap
-    below DENSE_ROUND_THRESHOLD active flows and with dense numpy
-    water-filling rounds at or above it; 511/512/513 flows straddle the
-    switch, so all three regimes must agree with the scalar reference (and
-    the native kernel, when compiled) on every rate.
-    """
+    """Native kernel against the scalar reference on random networks of
+    511-513 flows over 48 links: many more flows and water-filling rounds
+    per solve than the property suite's small topologies."""
 
     @staticmethod
-    def build_network(solver, num_flows):
+    def build_network(solver, num_flows, seed=1234):
         import random
 
-        rng = random.Random(1234)
+        rng = random.Random(seed)
         region = RegionNetwork(servers=[0])
         num_links = 48
         link_ids = [f"l{i}" for i in range(num_links)]
@@ -169,28 +164,21 @@ class TestDenseRoundBoundary:
 
     @pytest.mark.parametrize("num_flows", [511, 512, 513])
     def test_solvers_agree_at_boundary(self, num_flows):
-        from repro.sim._native import native_available
-        from repro.sim.flows import DENSE_ROUND_THRESHOLD
-
-        assert DENSE_ROUND_THRESHOLD == 512  # the boundary this test straddles
         reference = self.build_network("scalar", num_flows)
         reference.compute_rates()
-        solvers = ["vectorized"] + (["native"] if native_available() else [])
-        for solver in solvers:
-            candidate = self.build_network(solver, num_flows)
-            candidate.compute_rates()
-            for flow_id, ref_flow in reference.flows.items():
-                rate = candidate.flows[flow_id].rate
-                assert rate == pytest.approx(ref_flow.rate, rel=1e-9), (
-                    solver, flow_id, num_flows,
-                )
+        candidate = self.build_network("native", num_flows)
+        candidate.compute_rates()
+        for flow_id, ref_flow in reference.flows.items():
+            rate = candidate.flows[flow_id].rate
+            assert rate == pytest.approx(ref_flow.rate, rel=1e-9), (
+                flow_id, num_flows,
+            )
 
     @pytest.mark.parametrize("num_flows", [511, 513])
     def test_advance_matches_across_boundary(self, num_flows):
-        """One completion step keeps the solvers in lockstep as retirements
-        cross the threshold from either side."""
+        """Completion steps keep the solvers in lockstep as flows retire."""
         reference = self.build_network("scalar", num_flows)
-        candidate = self.build_network("vectorized", num_flows)
+        candidate = self.build_network("native", num_flows)
         for _ in range(3):
             dt_ref = reference.time_to_next_completion()
             dt_new = candidate.time_to_next_completion()
@@ -201,7 +189,7 @@ class TestDenseRoundBoundary:
 
 
 class TestNativeOOMFallback:
-    """WF_OOM must surface as a warning + Python fallback, never as silent
+    """WF_OOM must surface as a warning + scalar fallback, never as silent
     all-zero rates (which used to reappear later as a bogus executor
     "deadlock" RuntimeError)."""
 
@@ -238,11 +226,11 @@ class TestNativeOOMFallback:
         net.add_flow(Flow("f2", 1e9, ["a"]))
         with pytest.warns(RuntimeWarning, match="could not allocate scratch"):
             net.compute_rates()
-        # Correct rates from the Python solver, and the network is demoted so
+        # Correct rates from the scalar solver, and the network is demoted so
         # the failing allocation is not retried every solve.
         assert net.flows["f1"].rate == pytest.approx(0.5e9)
         assert net.flows["f2"].rate == pytest.approx(0.5e9)
-        assert net.solver == "vectorized"
+        assert net.solver == "scalar"
 
     def test_batched_advance_falls_back_with_warning(self):
         from repro.sim.flows import FlowAdvanceRequest, service_advance_requests
@@ -268,114 +256,49 @@ class TestNativeOOMFallback:
         assert [f.flow_id for f in outcome.finished] == [
             f.flow_id for f in expected.finished
         ]
+        assert net.solver == "scalar"
 
-class TestWarmStartBoundary:
-    """Warm-started waterfill_batch must replay the cold rounds exactly.
 
-    The incremental mode rebuilds each event's water-filling bookkeeping from
-    persistent per-block state (O(num_rows) memcpys) instead of from the CSR
-    (O(nnz)); the rounds it then runs consume identical counts, residuals and
-    bucket order, so every rate — and therefore every completion time and
-    ordering — must be bit-identical, not merely close.  511/512/513 flows
-    straddle the Python reference's heap->dense switch, pinning the native
-    kernel against both reference regimes.
-    """
+def test_native_without_kernel_degrades_to_scalar(monkeypatch):
+    """With no loadable kernel, "native" and "auto" resolve to the scalar
+    solver, and a native network whose kernel fails to load at its first
+    solve demotes itself to scalar and gives the scalar rates."""
+    import repro.sim._native as native_mod
+    from repro.sim.flows import resolve_solver
 
-    @pytest.fixture(autouse=True)
-    def _reset_warm_start(self):
-        from repro.sim.flows import set_warm_start
-
-        yield
-        set_warm_start(None)
-
-    @staticmethod
-    def _native_or_skip():
-        from repro.sim._native import native_available
-
-        if not native_available():
-            pytest.skip("native kernel unavailable")
-
-    @staticmethod
-    def _drain(net):
-        """Full solve → completion → advance drain through one batched call."""
+    reference = TestDenseRoundBoundary.build_network("scalar", 64)
+    reference.compute_rates()
+    if native_mod.native_available():
+        net = TestDenseRoundBoundary.build_network("native", 64)
+        assert net.solver == "native"
+        monkeypatch.setattr(native_mod, "native_lib", lambda: None)
+        net.compute_rates()
+        assert net.solver == "scalar"
+        assert {f.flow_id: f.rate for f in net.flows.values()} == {
+            f.flow_id: f.rate for f in reference.flows.values()
+        }
+        # The folded advance services the demoted network in Python.
         outcome = net.advance_through(0.0)
-        return (
-            outcome.now,
-            [flow.flow_id for flow in outcome.finished],
-            outcome.steps,
-            outcome.reason,
-        )
-
-    @pytest.mark.parametrize("num_flows", [511, 512, 513])
-    def test_warm_matches_cold_bit_exactly(self, num_flows):
-        from repro.sim.flows import set_warm_start
-
-        self._native_or_skip()
-        build = TestDenseRoundBoundary.build_network
-        set_warm_start(False)
-        cold_now, cold_order, cold_steps, cold_reason = self._drain(
-            build("native", num_flows)
-        )
-        set_warm_start(True)
-        warm_now, warm_order, warm_steps, warm_reason = self._drain(
-            build("native", num_flows)
-        )
-        assert warm_now == cold_now  # bit-exact, not approx
-        assert warm_order == cold_order
-        assert (warm_steps, warm_reason) == (cold_steps, cold_reason)
-        # Every flow drained (ties retire several per step), so the event
-        # count crossed the 512-active boundary from above.
-        assert len(cold_order) == num_flows
-
-    @pytest.mark.parametrize("num_flows", [511, 513])
-    def test_warm_agrees_with_python_reference(self, num_flows):
-        from repro.sim.flows import set_warm_start
-
-        self._native_or_skip()
-        build = TestDenseRoundBoundary.build_network
-        ref_now, ref_order, ref_steps, ref_reason = self._drain(
-            build("vectorized", num_flows)
-        )
-        set_warm_start(True)
-        warm_now, warm_order, warm_steps, warm_reason = self._drain(
-            build("native", num_flows)
-        )
-        assert warm_now == pytest.approx(ref_now, rel=1e-9)
-        assert warm_order == ref_order
-        assert (warm_steps, warm_reason) == (ref_steps, ref_reason)
-
-    def test_flag_plumbing(self, monkeypatch):
-        from repro.sim.flows import set_warm_start, warm_start_enabled
-
-        assert warm_start_enabled()  # default on
-        monkeypatch.setenv("REPRO_WATERFILL_WARM_START", "0")
-        assert not warm_start_enabled()
-        set_warm_start(True)  # explicit override beats the environment
-        assert warm_start_enabled()
-        set_warm_start(None)
-        assert not warm_start_enabled()
+        assert outcome.reason == "idle" and not net.active_flow_count()
+    monkeypatch.setattr(native_mod, "native_available", lambda: False)
+    assert resolve_solver("native") == "scalar"
+    assert resolve_solver("auto") == "scalar"
 
 
 class TestIncrementalReplay:
-    """The freeze-level replay mode must retrace the warm-start solve exactly.
+    """The batch kernel's freeze-level replay must retrace the per-event
+    path exactly.
 
     Between consecutive events of a block only flow retirements change the
     water-filling inputs, and a retired flow was unfrozen during every round
     before its freeze level, so rounds below the minimum retired level are
     bit-identical and the kernel replays them from the recorded freeze order
     instead of re-running their argmin scans (DESIGN.md §10).  These tests
-    pin the mode against the warm-start and cold paths and the Python
-    references at the 511/512/513 heap->dense boundary, and check that the
-    replay actually engages.
+    pin ``waterfill_batch`` bit for bit against the per-event path
+    (``_advance_python`` over a native network, which solves every event
+    with the one-shot ``waterfill`` entry), check it against the scalar
+    reference, and check that the replay actually engages.
     """
-
-    @pytest.fixture(autouse=True)
-    def _reset_modes(self):
-        from repro.sim.flows import set_incremental, set_warm_start
-
-        yield
-        set_incremental(None)
-        set_warm_start(None)
 
     @staticmethod
     def _native_or_skip():
@@ -396,37 +319,57 @@ class TestIncrementalReplay:
             outcome.rounds_replayed,
         )
 
-    @pytest.mark.parametrize("num_flows", [511, 512, 513])
-    def test_incremental_matches_warm_and_cold_bit_exactly(self, num_flows):
-        from repro.sim.flows import set_incremental, set_warm_start
+    @staticmethod
+    def _fresh_solve_rounds(net):
+        """Rounds a from-scratch solve per event would run over a drain: one
+        zero-step batch call per event solves the current flow set with no
+        freeze record, then the event is taken on the per-event path."""
+        from repro.sim.flows import FlowAdvanceRequest, service_advance_requests
+
+        total = 0
+        while True:
+            probe = service_advance_requests(
+                [FlowAdvanceRequest(net, now=0.0, max_steps=0)]
+            )[0]
+            assert probe.rounds_replayed == 0
+            total += probe.solve_rounds
+            if probe.reason != "steps":
+                return total
+            net.advance(net.time_to_next_completion())
+
+    @pytest.mark.parametrize("num_flows", [8, 64, 511, 512, 513])
+    @pytest.mark.parametrize("seed", [1234, 7, 2024])
+    def test_batch_matches_per_event_path_bit_exactly(self, seed, num_flows):
+        from repro.sim.flows import FlowAdvanceRequest, _advance_python
 
         self._native_or_skip()
         build = TestDenseRoundBoundary.build_network
-        set_incremental(False)
-        set_warm_start(False)
-        cold = self._drain(build("native", num_flows))
-        set_warm_start(True)
-        warm = self._drain(build("native", num_flows))
-        set_incremental(True)
-        inc = self._drain(build("native", num_flows))
-        # now / finish order / steps / reason all bit-exact across modes.
-        assert inc[:4] == warm[:4] == cold[:4]
-        assert len(cold[1]) == num_flows  # the whole block drained
+        batch = self._drain(build("native", num_flows, seed))
+        per_event = _advance_python(
+            FlowAdvanceRequest(build("native", num_flows, seed), now=0.0)
+        )
+        # now / finish order / steps / reason, all bit-exact.
+        assert batch[:4] == (
+            per_event.now,
+            [flow.flow_id for flow in per_event.finished],
+            per_event.steps,
+            per_event.reason,
+        )
+        assert len(batch[1]) == num_flows  # the whole block drained
         # The replay engaged and saved argmin scans: rounds inherited from
-        # the freeze record are > 0 and executed rounds strictly fewer than
-        # the warm-start path ran.
-        assert cold[5] == warm[5] == 0
-        assert inc[5] > 0
-        assert inc[4] < warm[4]
+        # the freeze record are > 0, and the rounds executed are strictly
+        # fewer than a fresh solve per event runs.
+        if batch[2] > 1:
+            assert batch[5] > 0
+            assert batch[4] < self._fresh_solve_rounds(
+                build("native", num_flows, seed)
+            )
 
     @pytest.mark.parametrize("num_flows", [511, 513])
     def test_incremental_agrees_with_python_reference(self, num_flows):
-        from repro.sim.flows import set_incremental
-
         self._native_or_skip()
         build = TestDenseRoundBoundary.build_network
-        ref = self._drain(build("vectorized", num_flows))
-        set_incremental(True)
+        ref = self._drain(build("scalar", num_flows))
         inc = self._drain(build("native", num_flows))
         assert inc[0] == pytest.approx(ref[0], rel=1e-9)
         assert inc[1] == ref[1]
@@ -435,54 +378,48 @@ class TestIncrementalReplay:
     def test_incremental_survives_midstream_admission(self):
         """Admission between batched calls rebuilds the CSR; the freeze
         record is per-call state, so the second call must restart cold and
-        still match the Python reference."""
+        still match the per-event path bit for bit (and the scalar
+        reference to 1e-9)."""
         from repro.sim.flows import (
             FlowAdvanceRequest,
+            _advance_python,
             service_advance_requests,
-            set_incremental,
         )
 
         self._native_or_skip()
-        set_incremental(True)
-        net = TestDenseRoundBoundary.build_network("native", 64)
-        reference = TestDenseRoundBoundary.build_network("vectorized", 64)
+        build = TestDenseRoundBoundary.build_network
         traces = []
-        for candidate in (net, reference):
+        for solver, advance in (
+            ("native", lambda r: service_advance_requests([r])[0]),
+            ("native", _advance_python),
+            ("scalar", _advance_python),
+        ):
+            candidate = build(solver, 64)
             trace = []
-            # First batched span stops mid-block on the step budget...
-            outcome = service_advance_requests(
-                [FlowAdvanceRequest(candidate, now=0.0, budget=20)]
-            )[0]
+            # First span stops mid-block on the time budget (the whole
+            # block drains at t = 0.27 s)...
+            outcome = advance(FlowAdvanceRequest(candidate, now=0.0, budget=0.1))
             trace.append((outcome.now, [f.flow_id for f in outcome.finished],
                           outcome.steps, outcome.reason))
             # ...then an admission rebuilds the CSR mid-stream...
             candidate.add_flow(Flow("late", 5e7, ["l0", "l1"]))
-            # ...and the rest drains through a second batched span.
-            outcome = service_advance_requests(
-                [FlowAdvanceRequest(candidate, now=outcome.now, budget=None)]
-            )[0]
+            # ...and the rest drains through a second span.
+            outcome = advance(
+                FlowAdvanceRequest(candidate, now=outcome.now, budget=None)
+            )
             trace.append((outcome.now, [f.flow_id for f in outcome.finished],
                           outcome.steps, outcome.reason))
             traces.append(trace)
-        native_trace, ref_trace = traces
+        batch_trace, per_event_trace, scalar_trace = traces
+        assert batch_trace == per_event_trace
         for (now_n, done_n, steps_n, why_n), (now_r, done_r, steps_r, why_r) in zip(
-            native_trace, ref_trace
+            batch_trace, scalar_trace
         ):
             assert now_n == pytest.approx(now_r, rel=1e-9)
             assert done_n == done_r
             assert (steps_n, why_n) == (steps_r, why_r)
-        assert "late" in native_trace[1][1]
-
-    def test_flag_plumbing(self, monkeypatch):
-        from repro.sim.flows import incremental_enabled, set_incremental
-
-        assert incremental_enabled()  # default on
-        monkeypatch.setenv("REPRO_WATERFILL_INCREMENTAL", "0")
-        assert not incremental_enabled()
-        set_incremental(True)  # explicit override beats the environment
-        assert incremental_enabled()
-        set_incremental(None)
-        assert not incremental_enabled()
+        assert batch_trace[0][3] == "budget"
+        assert "late" in batch_trace[1][1]
 
 
 class TestCompileRace:

@@ -9,9 +9,8 @@ solver implementation:
 * scale equivariance — scaling all capacities scales all rates;
 * leximin monotonicity — raising one link's capacity can only improve the
   sorted rate vector lexicographically;
-* differential agreement — all solvers agree with the scalar reference to
-  1e-9 relative on randomised topologies, including the dense-matrix rounds
-  the vectorized solver uses above its size threshold.
+* differential agreement — the native kernel agrees with the scalar
+  reference to 1e-9 relative on randomised topologies.
 """
 
 import numpy as np
@@ -22,10 +21,9 @@ from repro.fabric.base import RegionNetwork
 from repro.sim import flows as flows_mod
 from repro.sim.flows import Flow, FluidNetwork
 
-#: Solver implementations under test.  ``native`` silently degrades to
-#: ``vectorized`` when no compiler is available, which keeps the suite
-#: meaningful (and green) everywhere.
-ALL_SOLVERS = ("scalar", "vectorized", "native")
+#: Solver implementations under test.  ``native`` resolves to ``scalar``
+#: when no compiler is available, which keeps the suite green everywhere.
+ALL_SOLVERS = ("scalar", "native")
 
 RELATIVE_TOLERANCE = 1e-9
 
@@ -163,30 +161,15 @@ def test_leximin_monotone_under_capacity_increase(topology, solver, data):
 @given(topology=topologies)
 def test_solvers_agree_with_scalar_reference(topology):
     capacities, paths = topology
-    reference = solved_rates(capacities, paths, "scalar")
-    for solver in ("vectorized", "native"):
-        assert_close(
-            solved_rates(capacities, paths, solver),
-            reference,
-            context=f" ({solver} vs scalar)",
-        )
-
-
-def test_dense_rounds_agree_with_scalar_reference(monkeypatch):
-    """Force the vectorized solver's dense-matrix path and diff it."""
-    monkeypatch.setattr(flows_mod, "DENSE_ROUND_THRESHOLD", 0)
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        capacities, paths = _random_topology(int(rng.integers(0, 2**32)))
-        assert_close(
-            solved_rates(capacities, paths, "vectorized"),
-            solved_rates(capacities, paths, "scalar"),
-            context=" (dense vs scalar)",
-        )
+    assert_close(
+        solved_rates(capacities, paths, "native"),
+        solved_rates(capacities, paths, "scalar"),
+        context=" (native vs scalar)",
+    )
 
 
 def test_differential_through_progression():
-    """Both incremental solvers track the scalar reference through a whole
+    """The native solver tracks the scalar reference through a whole
     add/advance/remove lifecycle, not just a single solve."""
     rng = np.random.default_rng(1234)
     for trial in range(10):
@@ -198,22 +181,19 @@ def test_differential_through_progression():
         for step in range(40):
             reference = networks["scalar"]
             dt = reference.time_to_next_completion()
-            for solver in ("vectorized", "native"):
-                other_dt = networks[solver].time_to_next_completion()
-                if dt is None:
-                    assert other_dt is None
-                else:
-                    assert other_dt == pytest.approx(dt, rel=1e-9)
+            other_dt = networks["native"].time_to_next_completion()
+            if dt is None:
+                assert other_dt is None
+            else:
+                assert other_dt == pytest.approx(dt, rel=1e-9)
             if dt is None:
                 break
             finished = {
                 solver: sorted(f.flow_id for f in network.advance(dt))
                 for solver, network in networks.items()
             }
-            assert finished["vectorized"] == finished["scalar"]
             assert finished["native"] == finished["scalar"]
             counts = {s: n.active_flow_count() for s, n in networks.items()}
-            assert counts["vectorized"] == counts["scalar"]
             assert counts["native"] == counts["scalar"]
             if counts["scalar"] == 0:
                 break
@@ -233,7 +213,7 @@ def test_default_solver_env(monkeypatch):
     region = RegionNetwork(servers=[0])
     assert FluidNetwork(region).solver == "scalar"
     monkeypatch.delenv("REPRO_FLUID_SOLVER")
-    assert FluidNetwork(region).solver in ("native", "vectorized")
+    assert FluidNetwork(region).solver in ("native", "scalar")
 
 
 def test_misspelled_solver_env_rejected(monkeypatch):

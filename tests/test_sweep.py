@@ -72,17 +72,6 @@ class TestSpec:
                         first_a2a_policy="magic")
         with pytest.raises(ValueError):
             SweepConfig(fabric="MixNet", model="Mixtral-8x7B", failure="meteor")
-        with pytest.raises(ValueError):
-            SweepConfig(fabric="MixNet", model="Mixtral-8x7B",
-                        reconfig_engine="fpga")
-
-    def test_reconfig_engine_axis(self):
-        spec = SweepSpec(fabrics=["MixNet"], models=["Mixtral-8x7B"],
-                         reconfig_engines=["scalar", "vectorized"],
-                         num_servers=16)
-        configs = spec.expand()
-        assert [c.reconfig_engine for c in configs] == ["scalar", "vectorized"]
-        assert configs[0].config_hash() != configs[1].config_hash()
 
     def test_hash_stability_and_roundtrip(self):
         config = SweepConfig(fabric="MixNet", model="Mixtral-8x7B", seed=3)
@@ -156,9 +145,8 @@ class TestRunner:
         )
 
     def test_auto_engine_defers_to_process_default(self, monkeypatch):
-        """A config's "auto" engine reaches Algorithm 1 as None (deferring to
-        REPRO_RECONFIG_ENGINE / set_default_engine, like fluid_solver=None);
-        an explicit engine pins it."""
+        """A sweep config reaches Algorithm 1 with engine=None, deferring to
+        REPRO_RECONFIG_ENGINE / set_default_engine (like fluid_solver=None)."""
         import repro.core.controller as controller_mod
 
         seen = []
@@ -171,21 +159,6 @@ class TestRunner:
         monkeypatch.setattr(controller_mod, "reconfigure_ocs", spy)
         run_config(SweepConfig(fabric="MixNet", model="Mixtral-8x7B"))
         assert seen and all(engine is None for engine in seen)
-        seen.clear()
-        run_config(SweepConfig(fabric="MixNet", model="Mixtral-8x7B",
-                               reconfig_engine="scalar"))
-        assert seen and all(engine == "scalar" for engine in seen)
-
-    def test_reconfig_engines_produce_identical_results(self):
-        """The engine axis is a differential-testing knob: both Algorithm 1
-        engines yield the same simulated iteration."""
-        scalar = run_config(SweepConfig(fabric="MixNet", model="Mixtral-8x7B",
-                                        reconfig_engine="scalar"))
-        vectorized = run_config(SweepConfig(fabric="MixNet", model="Mixtral-8x7B",
-                                            reconfig_engine="vectorized"))
-        assert scalar.iteration_time_s == vectorized.iteration_time_s
-        assert scalar.comm_bytes == vectorized.comm_bytes
-        assert scalar.config_hash != vectorized.config_hash
 
 
 class TestSimulateFabricsEquivalence:

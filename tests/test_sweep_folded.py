@@ -47,7 +47,7 @@ IDENTICAL_FIELDS = (
     "tokens_per_second",
     # Event counts are part of the equivalence contract: run() and
     # iter_run() must consume identical event budgets (the round counters
-    # are deliberately absent — they are mode-dependent observability,
+    # are deliberately absent — they are path-dependent observability,
     # like the phase timings).
     "events",
 )
@@ -101,54 +101,31 @@ class TestFoldedEquivalence:
         with pytest.raises(ValueError):
             SweepRunner(MIXED_SPEC, fold_width=0)
 
+    def test_unknown_solver_rejected(self):
+        """A misspelled solver fails at construction, not as one
+        SweepRunError record per config after simulating nothing."""
+        with pytest.raises(ValueError, match="bogus"):
+            SweepRunner(MIXED_SPEC, solver="bogus")
+
 
 class TestIncrementalEquivalence:
-    """The incremental freeze-level replay kernel is a pure performance
+    """The batch kernel's freeze-level replay is a pure performance
     transformation: folded results on the mixed failure grid are
-    bit-identical with the mode on, off (warm-start fallback), and across
-    fold widths, and the replay actually engages (rounds_replayed > 0)."""
-
-    @pytest.fixture(autouse=True)
-    def _reset_incremental(self):
-        from repro.sim.flows import set_incremental
-
-        yield
-        set_incremental(None)
+    bit-identical to the per-config reference across fold widths, and the
+    replay actually engages (rounds_replayed > 0)."""
 
     @pytest.fixture(scope="class")
     def reference(self):
         return reference_results(MIXED_SPEC)
 
-    def test_incremental_off_matches_on_mixed_grid(self, reference):
-        from repro.sim.flows import set_incremental
-
-        set_incremental(False)
-        folded_off = SweepRunner(MIXED_SPEC).run()
-        set_incremental(True)
-        folded_on = SweepRunner(MIXED_SPEC).run()
-        assert_bit_identical(reference, folded_off)
-        assert_bit_identical(reference, folded_on)
-        # The fallback path really did avoid the replay machinery, and the
-        # incremental path really did inherit rounds from the freeze record.
-        assert all(r.rounds_replayed == 0 for r in folded_off)
-        assert sum(r.rounds_replayed for r in folded_on) > 0
-
     def test_fold_width_variance_with_incremental(self, reference):
-        from repro.sim.flows import set_incremental
+        from repro.sim.flows import resolve_solver
 
-        set_incremental(True)
         for width in (1, 3):
             folded = SweepRunner(MIXED_SPEC, fold_width=width).run()
             assert_bit_identical(reference, folded)
-
-    def test_env_flag_disables_incremental(self, monkeypatch):
-        from repro.sim.flows import incremental_enabled
-
-        assert incremental_enabled()  # default on
-        monkeypatch.setenv("REPRO_WATERFILL_INCREMENTAL", "0")
-        assert not incremental_enabled()
-        folded = SweepRunner(MIXED_SPEC).run()
-        assert all(r.rounds_replayed == 0 for r in folded)
+            if resolve_solver(None) == "native":
+                assert sum(r.rounds_replayed for r in folded) > 0
 
 
 class TestFoldedFallback:
@@ -169,9 +146,12 @@ class TestFoldedFallback:
         monkeypatch.setattr(runner_mod, "iter_run_config", sabotaged)
         folded = SweepRunner(spec).run()
         assert_bit_identical(expected, folded)
-        # Only the victim left the fold: fallback results carry no template.
+        # Only the victim left the fold: fallback results carry no template,
+        # and the victim's records why it fell back.
         assert folded[0].template_source != "none"
         assert folded[1].template_source == "none"
+        assert folded[0].fallback == ""
+        assert folded[1].fallback == "RuntimeError: injected straggler"
 
     def test_double_failure_is_a_structured_error(self, monkeypatch, tmp_path):
         """When the fallback fails too, the run finishes everything else,

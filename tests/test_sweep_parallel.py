@@ -172,6 +172,7 @@ class TestParallelEquivalence:
         assert_bit_identical(serial_results, results)
         # Every result came out of the fold, none from the fallback.
         assert all(r.template_source != "none" for r in results)
+        assert [r.fallback for r in results] == [""] * len(results)
 
     def test_pool_persists_across_runs(self):
         with SweepRunner(TWO_GROUP_SPEC, workers=2) as runner:
@@ -337,6 +338,7 @@ class TestAtomicCacheStore:
     def test_result_transport_is_exact(self):
         """Every SweepResult field survives the pool's result queue."""
         result = SweepRunner(TWO_GROUP_SPEC).run()[0]
+        result.fallback = "RuntimeError: carried across"
         with PersistentWorkerPool(1) as pool:
             pool.submit(0, _echo_task, (result,))
             kind, _, _, payload = pool.events(timeout=10)
