@@ -10,8 +10,6 @@ circuit allocations by running Algorithm 1 on predicted vs. actual demand.
 Run with:  python examples/copilot_prediction.py
 """
 
-import numpy as np
-
 from repro import MIXTRAL_8x7B, MixNetCopilot, reconfigure_ocs, simulation_cluster
 from repro.core.demand import rank_to_server_demand
 from repro.moe.gate import GateSimulator

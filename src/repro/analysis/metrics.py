@@ -9,7 +9,7 @@ from raw iteration times and cost breakdowns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
 
 @dataclass(frozen=True)

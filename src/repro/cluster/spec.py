@@ -71,11 +71,6 @@ class GPU:
     numa_node: int
 
     @property
-    def global_rank_hint(self) -> int:
-        """Dense global numbering assuming homogeneous servers."""
-        return self.index
-
-    @property
     def global_id(self) -> str:
         return f"s{self.server_id}.gpu{self.index}"
 

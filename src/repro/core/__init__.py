@@ -33,14 +33,10 @@ from repro.core.prediction import (
     project_to_simplex,
 )
 from repro.core.reconfigure import (
-    ENGINES,
     CircuitAllocation,
     calculate_server_demand,
-    default_engine,
     find_bottleneck_link,
     reconfigure_ocs,
-    resolve_engine,
-    set_default_engine,
     uniform_allocation,
 )
 from repro.core.runtime import (
@@ -77,13 +73,9 @@ __all__ = [
     "estimate_transition_matrix",
     "project_to_simplex",
     "CircuitAllocation",
-    "ENGINES",
     "calculate_server_demand",
-    "default_engine",
     "find_bottleneck_link",
     "reconfigure_ocs",
-    "resolve_engine",
-    "set_default_engine",
     "uniform_allocation",
     "FIRST_A2A_POLICIES",
     "IterationResult",

@@ -11,7 +11,7 @@ process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from repro.core.demand import rank_to_server_demand
 from repro.core.reconfigure import (
     CircuitAllocation,
     reconfigure_ocs,
-    resolve_engine,
     uniform_allocation,
 )
 from repro.fabric.mixnet import MixNetRegionNetwork
@@ -53,10 +52,6 @@ class RegionalTopologyController:
         optical_degree: Optical NICs per server available to this slice.
         reconfiguration_delay_s: Device switching delay (25 ms by default,
             matching the paper's Polatis-class assumption).
-        reconfig_engine: Algorithm 1 engine
-            (:data:`repro.core.reconfigure.ENGINES`); ``None`` uses the
-            process-wide default.  Engines produce identical allocations —
-            the knob exists for differential testing and benchmarking.
     """
 
     def __init__(
@@ -65,19 +60,15 @@ class RegionalTopologyController:
         cluster: ClusterSpec,
         optical_degree: int,
         reconfiguration_delay_s: float = 0.025,
-        reconfig_engine: Optional[str] = None,
     ) -> None:
         if optical_degree < 0:
             raise ValueError("optical_degree must be non-negative")
         if reconfiguration_delay_s < 0:
             raise ValueError("reconfiguration_delay_s must be non-negative")
-        if reconfig_engine is not None:
-            resolve_engine(reconfig_engine)  # validates the name
         self.region = region
         self.cluster = cluster
         self.optical_degree = optical_degree
         self.reconfiguration_delay_s = reconfiguration_delay_s
-        self.reconfig_engine = reconfig_engine
         self._installed: Optional[CircuitAllocation] = None
         self._excluded_servers: set[int] = set()
         self.total_blocking_s = 0.0
@@ -87,10 +78,6 @@ class RegionalTopologyController:
     @property
     def installed_allocation(self) -> Optional[CircuitAllocation]:
         return self._installed
-
-    @property
-    def excluded_servers(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._excluded_servers))
 
     def exclude_server(self, server: int) -> None:
         """Remove a failed server from the candidate set (§5.4)."""
@@ -117,7 +104,6 @@ class RegionalTopologyController:
             servers=servers,
             cluster=self.cluster,
             link_bandwidth_gbps=self.cluster.server.nic_bandwidth_gbps,
-            engine=self.reconfig_engine,
         )
 
     def plan_uniform(self, servers: Sequence[int]) -> CircuitAllocation:

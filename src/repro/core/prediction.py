@@ -214,9 +214,6 @@ class MixNetCopilot:
                 del pairs[0]
         self._matrices.clear()
 
-    def fitted_layers(self) -> List[int]:
-        return [layer for layer, pairs in self._pairs.items() if pairs]
-
     def transition_matrix(self, layer: int) -> np.ndarray:
         """Estimated transition matrix from ``layer-1`` to ``layer``."""
         if layer not in self._pairs:

@@ -9,25 +9,19 @@ into a concrete NIC-level TX/RX mapping, permuted so that multiple circuits
 between the same server pair land on different NUMA nodes (step 4), which the
 collective runtime relies on to avoid intra-host congestion.
 
-Two interchangeable, *exact* engines drive the greedy loop (DESIGN.md §5):
+One engine drives the greedy loop in production (DESIGN.md §5): a lazily
+invalidated max-heap over per-pair completion times (:func:`_greedy_heap`).
+NIC availability and the blocked-pair set are maintained incrementally with
+no per-step matrix copies, so each greedy step costs O(log P), and the
+post-loop bookkeeping (circuit-map extraction, completion estimate) runs as
+numpy reductions.
 
-* ``"scalar"`` — the original pure-Python implementation, kept verbatim as
-  the differential-testing oracle.  Every greedy step copies the masked
-  demand matrix and rescans all O(n²) server pairs.
-* ``"vectorized"`` — a lazily-invalidated max-heap over per-pair completion
-  times replaces the per-step rescan; NIC availability and the blocked-pair
-  set are maintained incrementally with no per-step matrix copies, and the
-  post-loop bookkeeping (circuit-map extraction, completion estimate) runs
-  as numpy reductions.  Each greedy step costs O(log P) instead of O(n²).
-
-Both engines produce bit-identical allocations (same circuit map, NIC
-mapping, completion estimate and iteration count — the differential suite in
-``tests/test_reconfigure_engines.py`` checks this on randomised demand).
-``"auto"`` (the default) resolves to ``"vectorized"``.  Select per call with
-``reconfigure_ocs(..., engine=...)``, per run with
-``RuntimeOptions(reconfig_engine=...)``, or process-wide via
-:func:`set_default_engine` / the ``REPRO_RECONFIG_ENGINE`` environment
-variable.
+The seed's pure-Python loop (:func:`_greedy_scalar` over
+:func:`find_bottleneck_link`, with the loop form of
+:func:`_completion_time_estimate`) is kept as the oracle.  It is reachable
+from tests only: ``tests/test_reconfigure_engines.py`` monkeypatches it in
+for :func:`_greedy_heap` and checks that allocations are bit-identical (same
+circuit map, NIC mapping, completion estimate and iteration count).
 """
 
 from __future__ import annotations
@@ -40,32 +34,6 @@ import numpy as np
 
 from repro.cluster.spec import ClusterSpec, NICFabric
 from repro.core.demand import symmetrize_upper
-from repro.selection import ImplementationSelector
-
-#: Accepted engine names (``"auto"`` resolves at call time).
-ENGINES = ("auto", "vectorized", "scalar")
-
-_selector = ImplementationSelector(
-    kind="engine",
-    names=ENGINES,
-    env_var="REPRO_RECONFIG_ENGINE",
-    resolver=lambda engine: "vectorized" if engine == "auto" else engine,
-)
-
-
-def default_engine() -> str:
-    """The engine :func:`reconfigure_ocs` uses when none is given."""
-    return _selector.default()
-
-
-def set_default_engine(engine: Optional[str]) -> None:
-    """Override the process-wide default engine (``None`` resets to the env)."""
-    _selector.set_default(engine)
-
-
-def resolve_engine(engine: Optional[str]) -> str:
-    """Resolve a requested engine name to a concrete implementation."""
-    return _selector.resolve(engine)
 
 
 @dataclass(frozen=True)
@@ -235,7 +203,6 @@ def reconfigure_ocs(
     cluster: Optional[ClusterSpec] = None,
     link_bandwidth_gbps: float = 400.0,
     skip_saturated_pairs: bool = False,
-    engine: Optional[str] = None,
 ) -> CircuitAllocation:
     """Algorithm 1: greedy bottleneck-first circuit allocation.
 
@@ -252,9 +219,6 @@ def reconfigure_ocs(
         skip_saturated_pairs: The paper's pseudo-code stops as soon as the
             current bottleneck pair has no free NICs; setting this flag makes
             the greedy loop skip such pairs instead (used as an ablation).
-        engine: One of :data:`ENGINES`; defaults to :func:`default_engine`.
-            Both engines produce identical allocations — the knob exists for
-            differential testing and benchmarking.
 
     Returns:
         A :class:`CircuitAllocation` with per-pair circuit counts and a
@@ -267,34 +231,19 @@ def reconfigure_ocs(
         raise ValueError(f"demand must be {n}x{n} to match servers, got {demand.shape}")
     if optical_degree < 0:
         raise ValueError("optical_degree must be non-negative")
-    engine_name = resolve_engine(engine)
 
     demand_upper = calculate_server_demand(demand)
-    if engine_name == "scalar":
-        circuits, iterations = _greedy_scalar(
-            demand_upper, optical_degree, skip_saturated_pairs
-        )
-        circuit_map: Dict[Tuple[int, int], int] = {}
-        for a in range(n):
-            for b in range(a + 1, n):
-                if circuits[a, b] > 0:
-                    circuit_map[(servers[a], servers[b])] = int(circuits[a, b])
-        completion = _completion_time_estimate(
-            demand_upper, circuits, link_bandwidth_gbps
-        )
-    else:
-        circuits, iterations = _greedy_heap(
-            demand_upper, optical_degree, skip_saturated_pairs
-        )
-        rows, cols = np.nonzero(np.triu(circuits, k=1))
-        circuit_map = {
-            (servers[a], servers[b]): int(circuits[a, b])
-            for a, b in zip(rows.tolist(), cols.tolist())
-        }
-        completion = _completion_time_estimate_vectorized(
-            demand_upper, circuits, link_bandwidth_gbps
-        )
-
+    circuits, iterations = _greedy_heap(
+        demand_upper, optical_degree, skip_saturated_pairs
+    )
+    rows, cols = np.nonzero(np.triu(circuits, k=1))
+    circuit_map = {
+        (servers[a], servers[b]): int(circuits[a, b])
+        for a, b in zip(rows.tolist(), cols.tolist())
+    }
+    completion = _completion_time_estimate_vectorized(
+        demand_upper, circuits, link_bandwidth_gbps
+    )
     nic_mapping = _nic_mapping(circuit_map, servers, optical_degree, cluster)
     return CircuitAllocation(
         servers=tuple(servers),

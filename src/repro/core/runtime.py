@@ -16,7 +16,7 @@ scales throughput by the number of data-parallel replicas — see DESIGN.md §4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -25,7 +25,6 @@ from repro.cluster.spec import ClusterSpec
 from repro.core.caches import clear_all_caches, register_cache
 from repro.core.collective import (
     ep_all_to_all_flows,
-    ring_all_reduce_time,
     tp_all_reduce_time,
 )
 from repro.core.controller import RegionalTopologyController
@@ -39,7 +38,6 @@ from repro.core.reconfigure import CircuitAllocation
 from repro.fabric.base import Fabric, RegionNetwork
 from repro.fabric.mixnet import MixNetFabric, MixNetRegionNetwork
 from repro.fabric.topoopt import TopoOptFabric
-from repro.moe.gate import GateSimulator
 from repro.moe.models import MoEModelConfig
 from repro.moe.parallelism import ParallelismPlan
 from repro.moe.profile import ComputeProfiler
@@ -173,17 +171,10 @@ class RuntimeOptions:
             a dedicated optical circuit (a single point-to-point RDMA stream).
         seed: Seed for synthetic traffic when no trace record is supplied.
         fluid_solver: Fluid-network rate solver (``"auto"``, ``"native"``
-            or ``"scalar"``); ``None`` uses the process-wide default
-            (``"auto"`` — the compiled kernel when available, the scalar
-            reference otherwise).  Both are exact max–min solvers, so results
-            are solver-independent — the knob exists for differential
-            testing.
-        reconfig_engine: Algorithm 1 reconfiguration engine (``"auto"``,
-            ``"vectorized"`` or ``"scalar"``); ``None`` uses the process-wide
-            default (``"auto"`` — the heap-driven engine).  Both engines
-            produce identical allocations, so results are engine-independent —
-            the knob exists for differential testing (it is not a sweep
-            axis: sweeps use the process default).
+            or ``"scalar"``); ``None`` means ``"auto"`` (the compiled kernel
+            when available, the scalar reference otherwise).  Both are exact
+            max–min solvers, so results are solver-independent — the knob
+            exists for differential testing.
     """
 
     first_a2a_policy: str = "block"
@@ -196,10 +187,8 @@ class RuntimeOptions:
     ocs_collective_efficiency: float = 0.8
     seed: int = 0
     fluid_solver: Optional[str] = None
-    reconfig_engine: Optional[str] = None
 
     def __post_init__(self) -> None:
-        from repro.core.reconfigure import resolve_engine
         from repro.sim.flows import SOLVERS
 
         if self.fluid_solver is not None and self.fluid_solver not in SOLVERS:
@@ -207,8 +196,6 @@ class RuntimeOptions:
                 f"fluid_solver must be None or one of {SOLVERS}, "
                 f"got {self.fluid_solver!r}"
             )
-        if self.reconfig_engine is not None:
-            resolve_engine(self.reconfig_engine)  # validates the name
         if self.first_a2a_policy not in FIRST_A2A_POLICIES:
             raise ValueError(
                 f"first_a2a_policy must be one of {FIRST_A2A_POLICIES}, "
@@ -306,7 +293,6 @@ class TrainingSimulator:
             self.group_ranks = self.plan.ep_groups()[0]
             self.region_servers = cluster.servers_of_gpus(self.group_ranks)
         self.profiler = ComputeProfiler(gpu=cluster.server.gpu)
-        self._gate = GateSimulator(model, seed=self.options.seed)
 
     # ----------------------------------------------------------------- inputs
     def default_record(self, iteration: int = 0) -> IterationRecord:
@@ -466,7 +452,6 @@ class TrainingSimulator:
                 self.cluster,
                 optical_degree=self._effective_optical_degree(effects),
                 reconfiguration_delay_s=options.reconfiguration_delay_s,
-                reconfig_engine=options.reconfig_engine,
             )
             # Start from a demand-oblivious wiring, like a freshly-cabled OCS.
             if self._template is not None and not controller._excluded_servers:
@@ -611,9 +596,8 @@ class TrainingSimulator:
         # L-1 — identical inputs by construction.  Only the memoised default
         # record participates (caller-supplied records may carry arbitrary
         # matrices under the same seed), and the key carries every stamped
-        # knob the result depends on: seed, mbs, optical degree, the
-        # *resolved* engine (the env-var default may differ between runs)
-        # and the NIC bandwidth feeding the completion-time estimate.
+        # knob the result depends on: seed, mbs, optical degree and the NIC
+        # bandwidth feeding the completion-time estimate.
         template = self._template
         allocation_memo_base: Optional[tuple] = None
         if (
@@ -622,14 +606,11 @@ class TrainingSimulator:
             and record is _RECORD_CACHE.get((model, options.seed, 0))
             and not controller._excluded_servers
         ):
-            from repro.core.reconfigure import resolve_engine
-
             allocation_memo_base = (
                 "alloc",
                 options.seed,
                 mbs,
                 controller.optical_degree,
-                resolve_engine(controller.reconfig_engine),
                 self.cluster.server.nic_bandwidth_gbps,
             )
 

@@ -9,7 +9,7 @@ NIC is charged once, OCS and patch-panel ports are charged per port.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.cost.components import ComponentPrices, LinkType, prices_for_bandwidth

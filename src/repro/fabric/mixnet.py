@@ -120,24 +120,6 @@ class MixNetRegionNetwork(RegionNetwork):
         self._circuits = new
         return delay
 
-    def _rebuild_ep_paths(self) -> None:
-        """Recompute every pair's EP path from the current circuit set.
-
-        The full-scan form; :meth:`apply_circuits` maintains the same mapping
-        incrementally, so this exists for callers (tests) that mutate
-        ``_circuits`` directly and as executable documentation of the
-        invariant: circuit-holding pairs route optically, all others fall
-        back to the EPS path.
-        """
-        for src in self.servers:
-            for dst in self.servers:
-                if src == dst:
-                    continue
-                if self.circuit_count(src, dst) > 0:
-                    self.ep_paths[(src, dst)] = self._optical_path(src, dst)
-                else:
-                    self.ep_paths[(src, dst)] = self.eps_paths[(src, dst)]
-
 
 class MixNetFabric(Fabric):
     """MixNet: EPS fat-tree for DP/PP plus a per-region reconfigurable OCS.

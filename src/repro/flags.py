@@ -2,16 +2,16 @@
 
 Every ``REPRO_*`` environment variable the package consults is declared here
 — name, default, one-line contract and a docs reference — and read through
-:func:`read_flag` / :func:`flag_enabled`.  This module is the *only* place in
-``src/`` allowed to touch ``os.environ`` (rule ``ENV01`` of
-``python -m repro.lint``), and any ``REPRO_*`` literal elsewhere must match a
-declared flag (rule ``ENV02``).  The point is operational determinism: a
+:func:`read_flag`.  This module is the *only* place in ``src/`` allowed to
+touch ``os.environ`` (rule ``ENV01`` of ``python -m repro.lint``), and any
+``REPRO_*`` literal elsewhere must match a declared flag (rule ``ENV02``).  The point is operational determinism: a
 sweep result must be reproducible from (config, code revision, flag table) —
 an undeclared environment read is a hidden input no cache key accounts for.
 
-Flags configure *implementation choice only*; every implementation pair they
-select between is bit-identical by contract (differential-tested), so no
-flag value may change a simulation result.
+Flags configure *how the program is built only* (today: the native kernel's
+compile flags), so no flag value may change a simulation result.
+Implementation choices such as the fluid solver are per-call arguments, not
+flags.
 """
 
 from __future__ import annotations
@@ -57,21 +57,6 @@ def declare_flag(name: str, default: str, doc: str, reference: str) -> EnvFlag:
 
 
 declare_flag(
-    "REPRO_FLUID_SOLVER",
-    "",
-    "Default fluid rate solver: auto, native or scalar (empty = auto, "
-    "which is native when the C kernel builds and scalar otherwise). Both "
-    "are exact; the knob exists for differential testing.",
-    "DESIGN.md §2",
-)
-declare_flag(
-    "REPRO_RECONFIG_ENGINE",
-    "",
-    "Default Algorithm 1 reconfiguration engine: auto, vectorized or "
-    "scalar (empty = auto). Both engines produce identical allocations.",
-    "DESIGN.md §5",
-)
-declare_flag(
     "REPRO_NATIVE_CFLAGS",
     "",
     "Extra compile/link flags for the cffi waterfill kernel (e.g. "
@@ -99,8 +84,3 @@ def read_flag(name: str) -> str:
             f"before reading it"
         ) from None
     return os.environ.get(flag.name, flag.default)
-
-
-def flag_enabled(name: str) -> bool:
-    """Boolean reading of a declared flag (``"0"`` and ``""`` are false)."""
-    return read_flag(name) not in ("", "0")

@@ -552,7 +552,7 @@ def _check_env01(ctx: FileContext) -> Iterator[Violation]:
                 "ENV01",
                 node,
                 f"{dotted} outside the flag table — declare the variable in "
-                f"repro.flags and read it via read_flag()/flag_enabled()",
+                f"repro.flags and read it via read_flag()",
             )
 
 
@@ -673,7 +673,7 @@ _RULE_DEFS = (
         "Every environment read is a hidden input to the process; scattered "
         "os.environ.get calls are exactly how an 'identical' sweep differs "
         "between two shells.  repro.flags is the single module allowed to "
-        "touch os.environ; everything else calls read_flag()/flag_enabled() "
+        "touch os.environ; everything else calls read_flag() "
         "on a declared flag.",
         _check_env01,
     ),

@@ -21,7 +21,7 @@ All randomness flows through an explicit :class:`numpy.random.Generator`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np

@@ -21,7 +21,7 @@ of Figure 5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.cluster.spec import ClusterSpec
 from repro.moe.models import MoEModelConfig
@@ -221,7 +221,3 @@ def plan_for_cluster(model: MoEModelConfig, cluster: ClusterSpec) -> Parallelism
     """Convenience constructor mirroring the paper's simulation setup."""
     return ParallelismPlan(model, cluster)
 
-
-def server_pair_distance(cluster: ClusterSpec, rank_a: int, rank_b: int) -> Tuple[int, int]:
-    """Return (server_a, server_b) for two ranks, used in locality analysis."""
-    return cluster.server_of_gpu(rank_a), cluster.server_of_gpu(rank_b)

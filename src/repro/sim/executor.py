@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from repro.fabric.base import RegionNetwork
-from repro.sim.dag import RouteKind, Task, TaskGraph, TaskKind
+from repro.sim.dag import RouteKind, TaskGraph, TaskKind
 from repro.sim.flows import (
     Flow,
     FlowAdvanceOutcome,

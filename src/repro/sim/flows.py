@@ -24,10 +24,10 @@ Two interchangeable, *exact* rate solvers are provided (see DESIGN.md §2):
 ``"auto"`` (the default) resolves to ``"native"`` when the kernel is
 available and ``"scalar"`` otherwise; so does an explicit ``"native"``, and a
 native network whose kernel later fails to load or to allocate demotes itself
-to ``"scalar"``.  Select per network with ``FluidNetwork(region,
-solver=...)``, per run with ``RuntimeOptions(fluid_solver=...)``, or
-process-wide via :func:`set_default_solver` / the ``REPRO_FLUID_SOLVER``
-environment variable.
+to ``"scalar"``.  Selection is per call only: per network with
+``FluidNetwork(region, solver=...)``, per run with
+``RuntimeOptions(fluid_solver=...)``, per sweep with ``SweepRunner(solver=...)``
+or the CLI's ``--solver``.  There is no process-wide override.
 
 Note on capacity changes: the scalar solver re-reads link capacities from the
 region on every solve; the native solver caches them and refreshes on
@@ -44,41 +44,26 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.fabric.base import GBPS_TO_BYTES_PER_S, RegionNetwork
-from repro.selection import ImplementationSelector
 
 #: Accepted solver names (``"auto"`` resolves at construction time).
 SOLVERS = ("auto", "native", "scalar")
 
 
-def _resolve_solver_impl(solver: str) -> str:
-    if solver in ("auto", "native"):
-        from repro.sim._native import native_available
-
-        return "native" if native_available() else "scalar"
-    return solver
-
-
-_selector = ImplementationSelector(
-    kind="solver",
-    names=SOLVERS,
-    env_var="REPRO_FLUID_SOLVER",
-    resolver=_resolve_solver_impl,
-)
-
-
-def default_solver() -> str:
-    """The solver new :class:`FluidNetwork` instances use when none is given."""
-    return _selector.default()
-
-
-def set_default_solver(solver: Optional[str]) -> None:
-    """Override the process-wide default solver (``None`` resets to the env)."""
-    _selector.set_default(solver)
-
-
 def resolve_solver(solver: Optional[str]) -> str:
-    """Resolve a requested solver name to a concrete implementation."""
-    return _selector.resolve(solver)
+    """Resolve a requested solver name to a concrete implementation.
+
+    ``None`` means ``"auto"``.  ``"auto"`` and ``"native"`` resolve to
+    ``"native"`` when the C kernel is available and to ``"scalar"`` otherwise.
+    """
+    if solver is None:
+        solver = "auto"
+    if solver not in SOLVERS:
+        raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
+    if solver == "scalar":
+        return solver
+    from repro.sim._native import native_available
+
+    return "native" if native_available() else "scalar"
 
 
 @dataclass(slots=True)
@@ -143,7 +128,7 @@ class FluidNetwork:
             re-read whenever :meth:`mark_topology_changed` signals a change,
             so topology reconfigurations (capacity changes, new optical
             circuits) made between events take effect immediately.
-        solver: One of :data:`SOLVERS`; defaults to :func:`default_solver`.
+        solver: One of :data:`SOLVERS`; ``None`` means ``"auto"``.
             The concrete implementation in use is exposed as ``self.solver``.
     """
 
@@ -440,15 +425,6 @@ class FluidNetwork:
             self._group_left[group] = self._group_left.get(group, 0) + len(flows)
         self._rem_synced = rem_synced
         self._rates_dirty = True
-
-    def remove_flow(self, flow_id: str) -> Flow:
-        self._sync_flow_attrs()
-        flow = self._flows.pop(flow_id)
-        if self.solver != "scalar":
-            self._forget_flow(flow)
-        self._release_group(flow_id)
-        self._rates_dirty = True
-        return flow
 
     def _forget_flow(self, flow: Flow) -> None:
         self._path_rows.pop(flow.flow_id)

@@ -180,9 +180,6 @@ def _materialise(
         ocs_nics=config.ocs_nics,
     )
     fabric = build_fabric(config.fabric, cluster)
-    # The Algorithm 1 engine is left to the process-wide default
-    # (REPRO_RECONFIG_ENGINE / set_default_engine), so e.g. the CI
-    # scalar-oracle leg reaches the sweep path too.
     options = RuntimeOptions(
         first_a2a_policy=config.first_a2a_policy,
         reconfiguration_delay_s=config.reconfiguration_delay_s,

@@ -16,9 +16,9 @@ rather than O(rebuild).
 
 Invalidation is the structural key itself: every memo inside a template is
 additionally keyed by the stamped axes that influence it (seed for demand,
-NIC bandwidth for allocations, micro-batch size for profiles, resolved
-engine for Algorithm 1), so a template can never serve a value computed for
-different numerics.  Templates hold *only* values that are pure functions of
+NIC bandwidth and optical degree for allocations, micro-batch size for
+profiles), so a template can never serve a value computed for different
+numerics.  Templates hold *only* values that are pure functions of
 their keys; sharing them across configs is therefore bit-identity-preserving
 by construction, and the differential tests in
 ``tests/test_sweep_template.py`` enforce it against from-scratch
@@ -49,8 +49,9 @@ from repro.core.caches import register_cache
 from repro.core.reconfigure import CircuitAllocation
 
 #: Bumped whenever the on-disk template payload layout (or the meaning of a
-#: memo key inside it) changes; mismatched payloads are recomputed.
-TEMPLATE_SCHEMA_VERSION = 1
+#: memo key inside it) changes; mismatched payloads are recomputed.  v2: the
+#: allocation memo key no longer carries an Algorithm 1 implementation name.
+TEMPLATE_SCHEMA_VERSION = 2
 
 #: Process-wide template cache, keyed by structural key.
 _TEMPLATE_CACHE: Dict[tuple, "StructuralTemplate"] = {}
@@ -439,7 +440,6 @@ register_cache(
         "seed",
         "micro_batch_size",
         "optical_degree",
-        "reconfig_engine",
         "nic_bandwidth_gbps",
     ),
     cap=_ALLOCATION_LIMIT,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.cluster.spec import A100, ClusterSpec, ServerSpec
-from repro.core.runtime import IterationResult, RuntimeOptions, TrainingSimulator
+from repro.core.runtime import RuntimeOptions, TrainingSimulator
 from repro.fabric.electrical import FatTreeFabric
 from repro.fabric.mixnet import MixNetFabric
 from repro.fabric.ocs import PIEZO_POLATIS

@@ -1,6 +1,5 @@
 """Tests for the regional topology controller (§5.2, Figure 20)."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import simulation_cluster
@@ -159,18 +158,3 @@ class TestInstallation:
             RegionalTopologyController(
                 region, controller.cluster, optical_degree=2, reconfiguration_delay_s=-1.0
             )
-        with pytest.raises(ValueError):
-            RegionalTopologyController(
-                region, controller.cluster, optical_degree=2, reconfig_engine="fpga"
-            )
-
-    def test_scalar_engine_plans_identically(self, setup):
-        controller, region, group, matrix = setup
-        scalar_controller = RegionalTopologyController(
-            region, controller.cluster, optical_degree=controller.optical_degree,
-            reconfig_engine="scalar",
-        )
-        assert (
-            scalar_controller.plan_from_rank_matrix(matrix, group).circuits
-            == controller.plan_from_rank_matrix(matrix, group).circuits
-        )

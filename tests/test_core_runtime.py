@@ -42,12 +42,6 @@ class TestRuntimeOptions:
         with pytest.raises(ValueError):
             RuntimeOptions(ocs_collective_efficiency=1.5)
 
-    def test_invalid_reconfig_engine(self):
-        with pytest.raises(ValueError):
-            RuntimeOptions(reconfig_engine="fpga")
-        for engine in (None, "auto", "vectorized", "scalar"):
-            assert RuntimeOptions(reconfig_engine=engine).reconfig_engine == engine
-
 
 class TestIterationResult:
     def test_result_fields_consistent(self):

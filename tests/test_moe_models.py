@@ -13,7 +13,6 @@ from repro.moe.models import (
     QWEN_MOE_EP32,
     SIMULATED_MODELS,
     TABLE1_MODELS,
-    MoEModelConfig,
     get_model,
 )
 

@@ -1,9 +1,15 @@
-"""Differential suite for the Algorithm 1 engines (DESIGN.md §5).
+"""Differential suite for Algorithm 1: production engine vs oracle (DESIGN.md §5).
 
-The scalar oracle (the seed's pure-Python greedy, kept verbatim) and the
-heap-driven vectorized engine must produce *identical* allocations — same
-circuit map, NIC mapping, completion-time estimate and iteration count — on
-any demand matrix, including under the ``skip_saturated_pairs`` ablation.
+Production runs one engine, the heap-driven :func:`_greedy_heap` followed by
+the numpy completion estimate.  The seed's pure-Python greedy
+(:func:`_greedy_scalar` over ``find_bottleneck_link``) and the loop form of
+the completion estimate are kept, private, as the oracle.  Tests reach the
+oracle by monkeypatching it in for the production pair, so both sides share
+the rest of :func:`reconfigure_ocs` (circuit-map extraction, NIC mapping).
+They must produce *identical* allocations — same circuit map, NIC mapping,
+completion-time estimate and iteration count — on any demand matrix,
+including under the ``skip_saturated_pairs`` ablation, and identical
+simulated iterations end to end.
 """
 
 import math
@@ -12,25 +18,51 @@ import numpy as np
 import pytest
 
 from repro.cluster import simulation_cluster
-from repro.core.reconfigure import (
-    ENGINES,
-    default_engine,
-    reconfigure_ocs,
-    resolve_engine,
-    set_default_engine,
-)
+from repro.core import reconfigure
+from repro.core.reconfigure import reconfigure_ocs
 
 
-def assert_identical(scalar, vectorized):
-    assert vectorized.servers == scalar.servers
-    assert vectorized.circuits == scalar.circuits
-    assert vectorized.nic_mapping == scalar.nic_mapping
-    assert vectorized.iterations == scalar.iterations
-    if math.isnan(scalar.completion_time_estimate):
-        assert math.isnan(vectorized.completion_time_estimate)
+def use_oracle(monkeypatch):
+    """Patch the oracle pair in for the production engine.
+
+    Returns a list that grows by one entry per oracle greedy call, so a test
+    can check the oracle really ran.
+    """
+    calls = []
+    greedy_scalar = reconfigure._greedy_scalar
+
+    def oracle(*args):
+        calls.append(args)
+        return greedy_scalar(*args)
+
+    monkeypatch.setattr(reconfigure, "_greedy_heap", oracle)
+    monkeypatch.setattr(
+        reconfigure,
+        "_completion_time_estimate_vectorized",
+        reconfigure._completion_time_estimate,
+    )
+    return calls
+
+
+def oracle_reconfigure(*args, **kwargs):
+    """:func:`reconfigure_ocs` with the oracle patched in for one call."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = use_oracle(patch)
+        allocation = reconfigure_ocs(*args, **kwargs)
+    assert len(calls) == 1
+    return allocation
+
+
+def assert_identical(oracle, production):
+    assert production.servers == oracle.servers
+    assert production.circuits == oracle.circuits
+    assert production.nic_mapping == oracle.nic_mapping
+    assert production.iterations == oracle.iterations
+    if math.isnan(oracle.completion_time_estimate):
+        assert math.isnan(production.completion_time_estimate)
     else:
         assert (
-            vectorized.completion_time_estimate == scalar.completion_time_estimate
+            production.completion_time_estimate == oracle.completion_time_estimate
         )
 
 
@@ -40,41 +72,6 @@ def random_demand(rng, n, density=1.0):
         demand *= rng.uniform(size=(n, n)) < density
     np.fill_diagonal(demand, 0.0)
     return demand
-
-
-class TestEngineSelection:
-    def test_resolve_engine(self):
-        assert resolve_engine("auto") == "vectorized"
-        assert resolve_engine("vectorized") == "vectorized"
-        assert resolve_engine("scalar") == "scalar"
-        with pytest.raises(ValueError):
-            resolve_engine("fpga")
-        with pytest.raises(ValueError):
-            resolve_engine("")  # falsy is not "use the default"
-
-    def test_set_default_engine(self):
-        try:
-            set_default_engine("scalar")
-            assert default_engine() == "scalar"
-            assert resolve_engine(None) == "scalar"
-        finally:
-            set_default_engine(None)
-        with pytest.raises(ValueError):
-            set_default_engine("fpga")
-
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RECONFIG_ENGINE", "scalar")
-        assert default_engine() == "scalar"
-        monkeypatch.setenv("REPRO_RECONFIG_ENGINE", "fpga")
-        with pytest.raises(ValueError):
-            default_engine()
-
-    def test_invalid_engine_argument(self):
-        with pytest.raises(ValueError):
-            reconfigure_ocs(np.zeros((2, 2)), 1, servers=[0, 1], engine="fpga")
-
-    def test_engines_tuple_stable(self):
-        assert ENGINES == ("auto", "vectorized", "scalar")
 
 
 class TestDifferential:
@@ -92,26 +89,22 @@ class TestDifferential:
                 servers=servers,
                 skip_saturated_pairs=skip_saturated,
             )
-            scalar = reconfigure_ocs(demand, engine="scalar", **kwargs)
-            vectorized = reconfigure_ocs(demand, engine="vectorized", **kwargs)
-            assert_identical(scalar, vectorized)
+            assert_identical(
+                oracle_reconfigure(demand, **kwargs), reconfigure_ocs(demand, **kwargs)
+            )
 
     def test_tie_heavy_demand(self):
         """Exact ties (equal times AND equal demands) follow the oracle's
-        row-major selection in both engines."""
+        row-major selection."""
         n = 8
         demand = np.full((n, n), 5.0e8)
         np.fill_diagonal(demand, 0.0)
         for skip in (False, True):
-            scalar = reconfigure_ocs(
-                demand, 3, servers=list(range(n)), skip_saturated_pairs=skip,
-                engine="scalar",
+            kwargs = dict(servers=list(range(n)), skip_saturated_pairs=skip)
+            assert_identical(
+                oracle_reconfigure(demand, 3, **kwargs),
+                reconfigure_ocs(demand, 3, **kwargs),
             )
-            vectorized = reconfigure_ocs(
-                demand, 3, servers=list(range(n)), skip_saturated_pairs=skip,
-                engine="vectorized",
-            )
-            assert_identical(scalar, vectorized)
 
     def test_cluster_nic_mapping_identical(self):
         cluster = simulation_cluster(8)
@@ -123,52 +116,62 @@ class TestDifferential:
             cluster=cluster,
             link_bandwidth_gbps=cluster.server.nic_bandwidth_gbps,
         )
-        scalar = reconfigure_ocs(demand, engine="scalar", **kwargs)
-        vectorized = reconfigure_ocs(demand, engine="vectorized", **kwargs)
-        assert_identical(scalar, vectorized)
-        assert len(vectorized.nic_mapping) == vectorized.total_circuits()
+        production = reconfigure_ocs(demand, **kwargs)
+        assert_identical(oracle_reconfigure(demand, **kwargs), production)
+        assert len(production.nic_mapping) == production.total_circuits()
 
     def test_zero_demand_and_zero_degree(self):
         for degree in (0, 4):
-            scalar = reconfigure_ocs(
-                np.zeros((5, 5)), degree, servers=list(range(5)), engine="scalar"
-            )
-            vectorized = reconfigure_ocs(
-                np.zeros((5, 5)), degree, servers=list(range(5)),
-                engine="vectorized",
-            )
-            assert_identical(scalar, vectorized)
-            assert vectorized.total_circuits() == 0
+            kwargs = dict(optical_degree=degree, servers=list(range(5)))
+            production = reconfigure_ocs(np.zeros((5, 5)), **kwargs)
+            assert_identical(oracle_reconfigure(np.zeros((5, 5)), **kwargs), production)
+            assert production.total_circuits() == 0
 
-    def test_medium_region_default_engine_matches_oracle(self):
-        """The shipped default (auto -> vectorized) agrees with the oracle at
-        a realistic region size."""
+    def test_medium_region_matches_oracle(self):
+        """Production agrees with the oracle at a realistic region size."""
         rng = np.random.default_rng(23)
         demand = random_demand(rng, 32)
-        scalar = reconfigure_ocs(demand, 6, servers=list(range(32)), engine="scalar")
-        default = reconfigure_ocs(demand, 6, servers=list(range(32)))
-        assert_identical(scalar, default)
+        kwargs = dict(optical_degree=6, servers=list(range(32)))
+        assert_identical(
+            oracle_reconfigure(demand, **kwargs), reconfigure_ocs(demand, **kwargs)
+        )
 
 
-class TestEndToEndEngineIndependence:
-    def test_simulated_iteration_identical_across_engines(self):
-        """A full MixNet training iteration is engine-independent."""
+class TestEndToEndOracle:
+    @pytest.mark.parametrize("failure", ["none", "nic:1", "server"])
+    @pytest.mark.parametrize("policy", ["block", "reuse", "copilot"])
+    def test_iteration_identical(self, monkeypatch, policy, failure):
+        """A full MixNet training iteration is the same with the oracle
+        patched in.  No template is passed and every memo is cleared before
+        each side, so no cached allocation can stand in for the oracle."""
+        from repro.core.caches import clear_all_caches
         from repro.core.runtime import RuntimeOptions, TrainingSimulator
         from repro.fabric import MixNetFabric
         from repro.moe.models import MIXTRAL_8x7B
+        from repro.sweep.registry import parse_failure
 
         cluster = simulation_cluster(16, nic_bandwidth_gbps=400.0)
-        results = {}
-        for engine in ("scalar", "vectorized"):
+
+        def simulate():
+            clear_all_caches()
             simulator = TrainingSimulator(
                 MIXTRAL_8x7B,
                 cluster,
                 MixNetFabric(cluster),
-                options=RuntimeOptions(reconfig_engine=engine),
+                options=RuntimeOptions(first_a2a_policy=policy),
             )
-            results[engine] = simulator.simulate_iteration()
-        assert (
-            results["vectorized"].iteration_time_s
-            == results["scalar"].iteration_time_s
-        )
-        assert results["vectorized"].comm_bytes == results["scalar"].comm_bytes
+            return simulator.simulate_iteration(failure=parse_failure(failure))
+
+        production = simulate()
+        calls = use_oracle(monkeypatch)
+        oracle = simulate()
+        clear_all_caches()
+        assert len(calls) > 0
+        for name in (
+            "iteration_time_s",
+            "stage_time_s",
+            "comm_bytes",
+            "reconfig_blocking_s",
+            "events",
+        ):
+            assert getattr(oracle, name) == getattr(production, name), name

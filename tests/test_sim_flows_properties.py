@@ -203,23 +203,7 @@ def test_invalid_solver_rejected():
     region = RegionNetwork(servers=[0])
     with pytest.raises(ValueError):
         FluidNetwork(region, solver="quantum")
-    with pytest.raises(ValueError):
-        flows_mod.set_default_solver("quantum")
-
-
-def test_default_solver_env(monkeypatch):
-    monkeypatch.setenv("REPRO_FLUID_SOLVER", "scalar")
-    flows_mod.set_default_solver(None)
-    region = RegionNetwork(servers=[0])
-    assert FluidNetwork(region).solver == "scalar"
-    monkeypatch.delenv("REPRO_FLUID_SOLVER")
+    with pytest.raises(ValueError, match="bogus"):
+        flows_mod.resolve_solver("bogus")
+    assert flows_mod.resolve_solver(None) == flows_mod.resolve_solver("auto")
     assert FluidNetwork(region).solver in ("native", "scalar")
-
-
-def test_misspelled_solver_env_rejected(monkeypatch):
-    """A typo'd REPRO_FLUID_SOLVER must fail loudly, not silently fall back
-    (a differential run would otherwise compare a solver against itself)."""
-    monkeypatch.setenv("REPRO_FLUID_SOLVER", "vectorised")
-    flows_mod.set_default_solver(None)
-    with pytest.raises(ValueError, match="REPRO_FLUID_SOLVER"):
-        FluidNetwork(RegionNetwork(servers=[0]))

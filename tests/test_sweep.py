@@ -144,22 +144,6 @@ class TestRunner:
             default.iteration_time_s, rel=1e-9
         )
 
-    def test_auto_engine_defers_to_process_default(self, monkeypatch):
-        """A sweep config reaches Algorithm 1 with engine=None, deferring to
-        REPRO_RECONFIG_ENGINE / set_default_engine (like fluid_solver=None)."""
-        import repro.core.controller as controller_mod
-
-        seen = []
-        real = controller_mod.reconfigure_ocs
-
-        def spy(*args, **kwargs):
-            seen.append(kwargs.get("engine"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(controller_mod, "reconfigure_ocs", spy)
-        run_config(SweepConfig(fabric="MixNet", model="Mixtral-8x7B"))
-        assert seen and all(engine is None for engine in seen)
-
 
 class TestSimulateFabricsEquivalence:
     def test_simulate_fabrics_matches_sweep(self):
