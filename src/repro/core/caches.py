@@ -1,8 +1,8 @@
 """The process-wide cache registry (DESIGN.md §9).
 
-Every module-level memo in ``src/`` — the trace memo, the gate init-state
-cache, the runtime record/flow/demand caches, the structural-template cache
-and its per-template instance memos — registers here with three declarations:
+Every module-level memo in ``src/`` — the trace memo, the runtime
+record/flow/demand caches, the structural-template cache and its
+per-template instance memos — registers here with three declarations:
 
 * **axes** — the named inputs its keys may depend on.  A memo whose key
   omits an axis the cached value depends on returns stale results silently;

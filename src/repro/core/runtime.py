@@ -320,6 +320,7 @@ class TrainingSimulator:
                 num_iterations=iteration + 1,
                 sample_every=max(1, iteration + 1),
                 seed=self.options.seed,
+                layers=self._stage_layers(),
             )
             record = trace[-1]
             if len(_RECORD_CACHE) >= _RECORD_CACHE_LIMIT:

@@ -22,11 +22,10 @@ All randomness flows through an explicit :class:`numpy.random.Generator`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.caches import register_cache
 from repro.moe.models import MoEModelConfig
 
 
@@ -36,34 +35,9 @@ def _softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-#: Memoised initial draws of :class:`GateSimulator`: key ->
-#: (layer_logits, transitions, generator state after the draws).
-#: Bounded clear-on-full at ``_INIT_STATE_LIMIT`` entries (see
-#: ``GateSimulator.__init__``).
-_INIT_STATE_CACHE: dict = {}
-_INIT_STATE_LIMIT = 64
-
-
-def clear_gate_cache() -> None:
-    """Drop the memoised initial gate states (entries are recomputable)."""
-    _INIT_STATE_CACHE.clear()
-
-
-register_cache(
-    "repro.moe.gate._INIT_STATE_CACHE",
-    _INIT_STATE_CACHE,
-    axes=(
-        "num_layers",
-        "num_experts",
-        "initial_logit_std",
-        "transition_concentration",
-        "seed",
-    ),
-    cap=_INIT_STATE_LIMIT,
-    doc="Initial gate draws plus the generator state after them; the "
-    "simulation replays deterministically from that state.",
-    clear=clear_gate_cache,
-)
+#: Values drawn per call when paying owed draws, so paying never allocates
+#: a whole skipped tensor (60 DeepSeek-R1 transitions are 31.5 MB).
+_PAY_CHUNK = 65_536
 
 
 @dataclass
@@ -98,10 +72,20 @@ class GateDynamicsConfig:
 class GateSimulator:
     """Generates per-iteration, per-layer expert-load distributions.
 
+    The gate can simulate a prefix of the model's MoE blocks only: a
+    pipeline stage reads the traffic of its own blocks, and blocks
+    ``0..num_layers-1`` depend only on their own logits and transitions.
+    The random stream is still consumed exactly as by the full gate.  Draws
+    for blocks past the horizon are *owed* instead of made, and paid (drawn
+    and thrown away, in stream order) just before the generator is used
+    again, so every value the gate returns is identical to the full gate's.
+
     Args:
         model: MoE model whose expert count and layer count to simulate.
         dynamics: Stochastic-process parameters.
         seed: Seed for the internal random generator.
+        num_layers: Simulate MoE blocks ``0..num_layers-1`` only; ``None``
+            means all of the model's blocks.
     """
 
     def __init__(
@@ -109,62 +93,43 @@ class GateSimulator:
         model: MoEModelConfig,
         dynamics: Optional[GateDynamicsConfig] = None,
         seed: int = 0,
+        *,
+        num_layers: Optional[int] = None,
     ) -> None:
+        total = model.num_moe_blocks
+        horizon = total if num_layers is None else num_layers
+        if not 1 <= horizon <= total:
+            raise ValueError(f"num_layers must be in [1, {total}], got {num_layers}")
         self.model = model
         self.dynamics = dynamics or GateDynamicsConfig()
         self._rng = np.random.default_rng(seed)
-        num_layers = model.num_moe_blocks
+        #: MoE blocks simulated (the horizon).
+        self.num_layers = horizon
+        #: Skipped draws as ``(generator method, arguments, count)``.
+        self._owed: List[Tuple[str, tuple, int]] = []
         num_experts = model.num_experts
         dyn = self.dynamics
 
-        # The initial draws depend only on the shapes, the two concentration
-        # parameters, and the seed; sweeps construct many simulators with the
-        # same ones, so memoise the arrays together with the generator state
-        # reached after drawing them.  The arrays are shared, never mutated in
-        # place (updates always rebind), and restoring the generator state
-        # makes every later draw identical to a cold construction.
-        memo_key = (
-            num_layers, num_experts,
-            dyn.initial_logit_std, dyn.transition_concentration, seed,
-        )
-        memo = _INIT_STATE_CACHE.get(memo_key)
-        if memo is None:
-            # Base affinity logits for layer 0 plus per-layer offsets: every
-            # block has its own (non-uniform) preferred experts, reproducing
-            # Figure 18.
-            self._layer_logits = self._rng.normal(
-                0.0, dyn.initial_logit_std, size=(num_layers, num_experts)
-            )
-            # Column-stochastic inter-layer transition matrices P[l]: given a
-            # token went to expert i at layer l, P[l][j, i] is the probability
-            # it goes to expert j at layer l+1.  MixNet-Copilot estimates
-            # these (§B.1).
-            self._transitions = np.stack(
-                [
-                    self._rng.dirichlet(
-                        np.full(num_experts, dyn.transition_concentration),
-                        size=num_experts,
-                    ).T
-                    for _ in range(max(1, num_layers - 1))
-                ]
-            )
-            if len(_INIT_STATE_CACHE) >= _INIT_STATE_LIMIT:
-                _INIT_STATE_CACHE.clear()
-            _INIT_STATE_CACHE[memo_key] = (
-                self._layer_logits,
-                self._transitions,
-                self._rng.bit_generator.state,
-            )
-        else:
-            self._layer_logits, self._transitions, rng_state = memo
-            self._rng.bit_generator.state = rng_state
+        # Base affinity logits for layer 0 plus per-layer offsets: every
+        # block has its own (non-uniform) preferred experts, reproducing
+        # Figure 18.  All rows are drawn: the transitions come after them.
+        self._layer_logits = self._rng.normal(
+            0.0, dyn.initial_logit_std, size=(total, num_experts)
+        )[:horizon]
+        # Column-stochastic inter-layer transition matrices P[l]: given a
+        # token went to expert i at layer l, P[l][j, i] is the probability
+        # it goes to expert j at layer l+1.  MixNet-Copilot estimates these
+        # (§B.1).  A one-block model still draws one (unused) matrix.
+        alpha = np.full(num_experts, dyn.transition_concentration)
+        # Each P[l] is a transposed Dirichlet sample.  Keep it a transposed
+        # view: ``P[l] @ loads`` rounds differently on a C-ordered copy.
+        drawn = self._rng.dirichlet(alpha, size=(horizon - 1, num_experts))
+        self._transitions = drawn.transpose(0, 2, 1)
+        owed_rows = (max(1, total - 1) - (horizon - 1)) * num_experts
+        self._owed.append(("dirichlet", (alpha,), owed_rows))
         self._iteration = 0
 
     # ----------------------------------------------------------------- access
-    @property
-    def num_layers(self) -> int:
-        return self.model.num_moe_blocks
-
     @property
     def num_experts(self) -> int:
         return self.model.num_experts
@@ -174,6 +139,18 @@ class GateSimulator:
         if not 0 <= layer < self.num_layers - 1:
             raise ValueError(f"layer {layer} has no successor")
         return self._transitions[layer].copy()
+
+    # ------------------------------------------------------------ owed draws
+    def _pay_owed(self) -> None:
+        """Make the skipped draws, in stream order, and discard them."""
+        for kind, args, count in self._owed:
+            draw = getattr(self._rng, kind)
+            # A Dirichlet draw is one row of ``len(alpha)`` values.
+            per_call = _PAY_CHUNK // (len(args[0]) if kind == "dirichlet" else 1)
+            while count > 0:
+                draw(*args, size=min(count, per_call))
+                count -= per_call
+        self._owed.clear()
 
     # --------------------------------------------------------------- evolution
     def _balance_strength(self, iteration: int) -> float:
@@ -186,13 +163,20 @@ class GateSimulator:
         if iterations < 0:
             raise ValueError("iterations must be non-negative")
         dyn = self.dynamics
+        total = self.model.num_moe_blocks
+        num_experts = self.num_experts
         for _ in range(iterations):
-            noise = self._rng.normal(0.0, dyn.drift_std, size=self._layer_logits.shape)
-            self._layer_logits = (1.0 - dyn.mean_reversion) * self._layer_logits + noise
-            if self.num_layers > 1:
+            self._pay_owed()
+            noise = self._rng.normal(0.0, dyn.drift_std, size=(total, num_experts))
+            self._layer_logits = (
+                (1.0 - dyn.mean_reversion) * self._layer_logits + noise[: self.num_layers]
+            )
+            if total > 1:
                 noise = self._rng.normal(
                     0.0, dyn.transition_drift_std, size=self._transitions.shape
                 )
+                owed = (total - self.num_layers) * num_experts * num_experts
+                self._owed.append(("normal", (0.0, dyn.transition_drift_std), owed))
                 perturbed = np.clip(self._transitions + noise, 1e-6, None)
                 self._transitions = perturbed / perturbed.sum(axis=1, keepdims=True)
             self._iteration += 1
@@ -203,7 +187,7 @@ class GateSimulator:
         Layer 0's load comes directly from its affinity logits; each subsequent
         layer's load is the previous layer's load pushed through that layer's
         transition matrix, mixed with the layer's own affinity.  Every row sums
-        to 1.
+        to 1.  Only the horizon's rows are computed.
         """
         if iteration is not None and iteration != self._iteration:
             if iteration < self._iteration:
@@ -259,7 +243,11 @@ class GateSimulator:
         per_rank = model.experts_per_ep_rank
         rank_loads = loads.reshape(ep, per_rank).sum(axis=1)
 
-        rng = self._rng if sender_seed is None else np.random.default_rng(sender_seed)
+        if sender_seed is None:
+            self._pay_owed()
+            rng = self._rng
+        else:
+            rng = np.random.default_rng(sender_seed)
         concentration = self.dynamics.sender_concentration
         alpha = np.clip(rank_loads * ep * concentration, 1e-3, None)
         sender_affinities = rng.dirichlet(alpha, size=ep)
@@ -272,7 +260,7 @@ class GateSimulator:
     def iteration_traffic(
         self, iteration: Optional[int] = None
     ) -> List[np.ndarray]:
-        """All-to-all traffic matrices for every MoE layer of one iteration."""
+        """All-to-all traffic matrices for every simulated layer of one iteration."""
         loads = self.expert_loads(iteration)
         return [self.rank_traffic_matrix(loads[layer]) for layer in range(self.num_layers)]
 

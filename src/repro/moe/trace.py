@@ -25,7 +25,9 @@ class IterationRecord:
 
     Attributes:
         iteration: Training-step index.
-        expert_loads: Array ``(num_layers, num_experts)`` of load fractions.
+        expert_loads: Load fractions of MoE blocks ``0..max(layers)``, where
+            ``layers`` are the trace's selected layers (all by default);
+            shape ``(max(layers) + 1, num_experts)``.
         traffic_matrices: One ``(ep, ep)`` byte matrix per MoE layer; entry
             ``[i, j]`` is the volume EP rank ``i`` dispatches to EP rank ``j``
             in a single all-to-all phase.
@@ -87,9 +89,9 @@ class TrainingTrace:
 
 #: Memo of default-dynamics traces (they are pure functions of their
 #: arguments and sweeps re-request the same trace for every fabric/policy).
-#: Bounded clear-on-full (mirroring ``repro.moe.gate``'s init-state cache):
-#: a long-lived sweep service cycling through many (model, seed) pairs stays
-#: flat instead of leaking, and any evicted trace is recomputable.
+#: Bounded clear-on-full: a long-lived sweep service cycling through many
+#: (model, seed) pairs stays flat instead of leaking, and any evicted trace
+#: is recomputable.
 _TRACE_MEMO: dict = {}
 _TRACE_MEMO_LIMIT = 256
 
@@ -128,7 +130,8 @@ def generate_trace(
         dynamics: Optional gate dynamics overrides.
         seed: RNG seed.
         layers: Optional subset of layers to materialise traffic matrices for
-            (all layers by default).  Loads are always recorded for all layers.
+            (all layers by default).  Loads are recorded for layers
+            ``0..max(layers)``, and the gate simulates no block past them.
 
     Returns:
         A :class:`TrainingTrace` with ``ceil(num_iterations / sample_every)``
@@ -152,9 +155,10 @@ def generate_trace(
         if cached is not None:
             return cached
 
-    # Built only on a memo miss: the gate's own init memo may have evicted
-    # this seed, and rebuilding it redoes the Dirichlet draws.
-    gate = GateSimulator(model, dynamics=dynamics, seed=seed)
+    gate = GateSimulator(
+        model, dynamics=dynamics, seed=seed,
+        num_layers=max(selected_layers, default=0) + 1,
+    )
     trace = TrainingTrace(model=model)
     for step in range(0, num_iterations, sample_every):
         loads = gate.expert_loads(step)

@@ -609,7 +609,6 @@ class TestCacheRegistry:
             "repro.core.runtime._ADJUSTED_FLOW_CACHE",
             "repro.core.runtime._PROFILED_DEMAND_CACHE",
             "repro.moe.trace._TRACE_MEMO",
-            "repro.moe.gate._INIT_STATE_CACHE",
             "repro.sweep.template._TEMPLATE_CACHE",
         }
         assert expected <= set(REGISTRY)

@@ -19,7 +19,6 @@ import pytest
 
 from repro.core.runtime import clear_runtime_caches
 from repro.moe import trace as trace_mod
-from repro.moe.gate import clear_gate_cache
 from repro.moe.models import get_model
 from repro.moe.trace import clear_trace_memo, generate_trace
 from repro.sweep import SweepConfig, SweepSpec
@@ -339,12 +338,10 @@ class TestBoundedMemos:
 
     def test_clear_apis_are_idempotent(self):
         clear_runtime_caches()
-        clear_gate_cache()
         clear_trace_memo()
         clear_template_cache()
         # Callable twice without error, and caches stay usable after.
         clear_runtime_caches()
-        clear_gate_cache()
         model = get_model("Mixtral-8x7B")
         trace = generate_trace(model, num_iterations=1, layers=[0])
         assert trace.records
